@@ -5,12 +5,12 @@
 //   * Erdős–Rényi: cost grows with edge density;
 //   * complete graphs: factorial blow-up — the O(n!) worst case the paper
 //     names; n is capped accordingly;
-//   * recursive vs iterative DFS: same visits, different constant;
 //   * serial vs thread-pool multi-pair: parallel wins once pairs >> cores;
-//   * legacy vs CSR (BM_DiscoverTree / BM_DiscoverCampus): the flat-array
-//     kernel against the generic-graph walk on identical topologies from
-//     ~10^2 to ~10^5 components, plus the one-off projection cost
-//     (BM_CsrProjection) the engine pays per structural epoch.
+//   * the kernel on a prebuilt CsrView (BM_DiscoverTreeCsr /
+//     BM_DiscoverCampusCsr) on topologies from ~10^2 to ~10^5 components,
+//     plus the one-off projection cost (BM_CsrProjection) the engine pays
+//     per structural epoch.  BM_Tree and BM_Campus time the graph entry
+//     point, which projects and then runs the same kernel.
 #include <benchmark/benchmark.h>
 
 #include "netgen/generators.hpp"
@@ -101,21 +101,6 @@ void BM_FatTree(benchmark::State& state) {
 }
 BENCHMARK(BM_FatTree)->Arg(2)->Arg(4);
 
-void BM_Algorithm(benchmark::State& state) {
-  const auto algorithm = state.range(0) == 0
-                             ? pathdisc::Algorithm::RecursiveDfs
-                             : pathdisc::Algorithm::IterativeDfs;
-  const auto g = netgen::erdos_renyi(16, 0.3, 3);
-  pathdisc::Options options;
-  options.algorithm = algorithm;
-  for (auto _ : state) {
-    auto set = pathdisc::discover(g, VertexId{0}, VertexId{15}, options);
-    benchmark::DoNotOptimize(set);
-  }
-  state.SetLabel(state.range(0) == 0 ? "recursive" : "iterative");
-}
-BENCHMARK(BM_Algorithm)->Arg(0)->Arg(1);
-
 void BM_MultiPair(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   netgen::CampusSpec spec;
@@ -138,28 +123,13 @@ void BM_MultiPair(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiPair)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// -- legacy vs CSR (the ROADMAP item 2 comparison) ---------------------------
+// -- the kernel on a prebuilt CsrView ----------------------------------------
 //
-// Identical topology, identical endpoints, identical Options: the only
-// variable is the data layout the kernel walks.  Tree sizes step decades
-// from 10^2 to 10^5 vertices.  Campus sizes step component counts the same
-// way via the distribution-switch count (components ~= 9*D + 6); the
-// largest rung drops redundant uplinks because the redundant all-paths
-// walk is quadratic in D, which would swamp the layout comparison.
-
-void BM_DiscoverTreeLegacy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto g = netgen::tree(n, 2);
-  const VertexId s{static_cast<std::uint32_t>(n / 2)};
-  const VertexId t{static_cast<std::uint32_t>(n - 1)};
-  for (auto _ : state) {
-    auto set = pathdisc::discover(g, s, t);
-    benchmark::DoNotOptimize(set);
-  }
-  state.counters["vertices"] = static_cast<double>(n);
-}
-BENCHMARK(BM_DiscoverTreeLegacy)
-    ->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
+// Tree sizes step decades from 10^2 to 10^5 vertices.  Campus sizes step
+// component counts the same way via the distribution-switch count
+// (components ~= 9*D + 6); the largest rung drops redundant uplinks because
+// the redundant all-paths walk is quadratic in D, which would swamp the
+// rest of the sweep.
 
 void BM_DiscoverTreeCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -182,24 +152,6 @@ netgen::CampusSpec scaled_campus(std::int64_t distribution) {
   spec.redundant_uplinks = distribution <= 1110;
   return spec;
 }
-
-void BM_DiscoverCampusLegacy(benchmark::State& state) {
-  const auto spec = scaled_campus(state.range(0));
-  const auto g = netgen::campus(spec);
-  const auto endpoints = netgen::campus_endpoints(spec);
-  const VertexId s = g.vertex_by_name(endpoints.client);
-  const VertexId t = g.vertex_by_name(endpoints.server);
-  std::size_t paths = 0;
-  for (auto _ : state) {
-    auto set = pathdisc::discover(g, s, t);
-    paths = set.count();
-    benchmark::DoNotOptimize(set);
-  }
-  state.counters["vertices"] = static_cast<double>(g.vertex_count());
-  state.counters["paths"] = static_cast<double>(paths);
-}
-BENCHMARK(BM_DiscoverCampusLegacy)
-    ->Arg(10)->Arg(110)->Arg(1110)->Arg(11110)->Unit(benchmark::kMicrosecond);
 
 void BM_DiscoverCampusCsr(benchmark::State& state) {
   const auto spec = scaled_campus(state.range(0));

@@ -120,18 +120,7 @@ UpsimResult UpsimGenerator::generate(const service::CompositeService& composite,
         }
         // The graph engine records these inside pathdisc::discover; keep
         // the model-space engine's metrics shape identical.
-        if (obs::enabled()) {
-          auto& registry = obs::Registry::global();
-          registry.counter("pathdisc.pairs").add(1);
-          registry.counter("pathdisc.vertices_visited")
-              .add(raw_sets[i].nodes_expanded);
-          registry.counter("pathdisc.paths_found").add(raw_sets[i].count());
-          (void)registry.counter("pathdisc.truncations");
-          registry.histogram("pathdisc.paths_per_pair")
-              .record(static_cast<double>(raw_sets[i].count()));
-          registry.histogram("pathdisc.vertices_per_pair")
-              .record(static_cast<double>(raw_sets[i].nodes_expanded));
-        }
+        if (obs::enabled()) pathdisc::detail::record_pair_metrics(raw_sets[i]);
       }
     }
     for (std::size_t i = 0; i < pairs.size(); ++i) {

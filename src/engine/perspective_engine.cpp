@@ -80,7 +80,7 @@ void PerspectiveEngine::rebuild_locked(bool bump_epoch) {
   // queries share it read-only under the shared lock.  Attribute-only
   // re-projections (notify_properties_changed) never reach this function,
   // so the view survives them — structure is all it holds.
-  csr_ = options_.use_csr ? pathdisc::CsrView(graph_) : pathdisc::CsrView();
+  csr_ = pathdisc::CsrView(graph_);
   if (bump_epoch) {
     const std::uint64_t now =
         epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -248,15 +248,7 @@ core::UpsimResult PerspectiveEngine::query(
       const auto baseline = cache_.get_or_compute(
           key,
           [&] {
-            // Cold discovery runs on the CSR projection; the generic-graph
-            // call is the differential oracle (use_csr = false).  Results
-            // are byte-identical by contract, so cache entries computed by
-            // either kernel are interchangeable.
-            return options_.use_csr
-                       ? csr_.discover(key.source, key.target,
-                                       options_.discovery)
-                       : pathdisc::discover(graph_, key.source, key.target,
-                                            options_.discovery);
+            return csr_.discover(key.source, key.target, options_.discovery);
           },
           &missed);
       if (missed || info != nullptr) {

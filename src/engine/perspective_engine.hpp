@@ -13,10 +13,7 @@
 //     pair shared by any number of perspectives is discovered once.  Cold
 //     discoveries run on a flat CSR projection of the topology
 //     (pathdisc::CsrView, compiled once per rebuild and shared read-only
-//     by every query thread); the generic-graph discover() remains
-//     reachable via EngineOptions::use_csr = false as the differential
-//     oracle — both produce byte-identical PathSets, which
-//     tests/test_pathdisc_csr.cpp enforces across randomized topologies.
+//     by every query thread).
 //   - Steps 7/8 (discovery, merge, emit, project) read only immutable
 //     state — the graph projection and the infrastructure model — and run
 //     per-perspective on util::ThreadPool workers.  Only the final
@@ -120,12 +117,6 @@ struct EngineOptions {
   /// name).  This is the only serialized section of a query; switch it off
   /// when serving throughput matters more than a queryable space.
   bool record_in_space = true;
-  /// Serve cold Step-7 discoveries from the flat CSR projection of the
-  /// topology (rebuilt on every topology change, reused across
-  /// perspectives and epochs otherwise).  Off = discover on the generic
-  /// attribute-carrying graph — the differential oracle the CSR kernel is
-  /// tested against; answers are byte-identical either way.
-  bool use_csr = true;
   /// Run the lint analyzer over the infrastructure before accepting it
   /// (constructor and every topology rebuild): lint errors — dangling
   /// values, non-positive MTBF/MTTR, ... — throw ModelError up front
@@ -320,8 +311,7 @@ class PerspectiveEngine {
   /// like graph_).  Rebuilt only when the *structure* can have changed —
   /// rebuild_locked(); property re-projections replace graph_ with a
   /// structurally identical graph (stable vertex ids), so the view is
-  /// reused across them, across perspectives and across epochs.  Empty
-  /// when use_csr is off.
+  /// reused across them, across perspectives and across epochs.
   pathdisc::CsrView csr_;
   /// Serializes model-space run insertion among concurrent queries (taken
   /// with model_mutex_ held shared; rebuilds exclude both).

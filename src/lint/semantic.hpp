@@ -16,8 +16,8 @@
 //           the product over the pair's series cut-set (endpoints,
 //           separating articulation points, separating bridges) bounds
 //           every path's availability from above, whatever the paths are
-//   UPS104  predicted path-count explosion: a count-only mirror of the
-//           discovery kernels (pathdisc/forecast.hpp) warns when a query
+//   UPS104  predicted path-count explosion: the discovery kernel run with
+//           a counting sink (pathdisc/forecast.hpp) warns when a query
 //           under the configured limits *would* truncate, before it runs
 //
 // and over an optional scenario trace (PR 7's reader):

@@ -1,21 +1,20 @@
 #include "pathdisc/csr.hpp"
 
 #include "obs/obs.hpp"
+#include "pathdisc/forecast.hpp"
 
 namespace upsim::pathdisc {
 
 using graph::VertexId;
 using graph::index;
-using detail::Limits;
-using detail::limits_of;
 
 CsrView::CsrView(const graph::Graph& g) {
   const std::size_t n = g.vertex_count();
   offsets_.reserve(n + 1);
   arcs_.reserve(2 * g.edge_count());
   // Built straight off incident_edges(), so per-vertex arc order is
-  // definitionally the legacy traversal's edge-insertion order — the
-  // property the byte-identical-results contract rests on.
+  // definitionally the graph's edge-insertion order — the property the
+  // deterministic discovery order rests on.
   for (std::uint32_t v = 0; v < n; ++v) {
     offsets_.push_back(static_cast<std::uint32_t>(arcs_.size()));
     for (const graph::EdgeId e : g.incident_edges(VertexId{v})) {
@@ -48,145 +47,104 @@ class VisitMask {
   std::vector<std::uint64_t> words_;
 };
 
-/// Line-by-line port of path_discovery.cpp's iterative_search onto CSR
-/// spans: the control flow (and with it every observable — path order,
-/// nodes_expanded, truncation decisions) is kept identical; only the
-/// neighbour-expansion machinery changed from accessor calls to flat
-/// array reads.
-void iterative_search_csr(const CsrView& view, VertexId source,
-                          VertexId target, const Limits& lim, PathSet& out) {
-  struct Frame {
-    std::uint32_t v;
-    std::uint32_t next_arc;
-  };
-  VisitMask on_path(view.vertex_count());
-  Path path{source};
-  std::vector<Frame> stack;
-  stack.reserve(64);
-  stack.push_back(Frame{index(source), 0});
-  on_path.set(index(source));
-  ++out.nodes_expanded;
+/// One level of the DFS: a vertex on the current path and the index of its
+/// next arc to try.  The stack of frames, bottom to top, is the path.
+struct Frame {
+  std::uint32_t v;
+  std::uint32_t next_arc;
+};
+
+/// The all-simple-paths DFS with path tracking (Sec. V-D) — the only one in
+/// pathdisc.  An explicit stack, so deep topologies cannot exhaust the call
+/// stack; arcs in insertion order, so discovery order is deterministic.
+/// Each path found goes to `on_path(prefix)`, where `prefix` is the stack
+/// (source first, the target not yet on it).  The counts and the truncated
+/// flag come back as a PathForecast; both limits cut exactly as
+/// PathSet::truncated documents.
+template <typename OnPath>
+PathForecast search(const CsrView& view, std::uint32_t source,
+                    std::uint32_t target, const Options& options,
+                    OnPath on_path) {
+  const std::size_t max_len =
+      options.max_path_length == 0 ? SIZE_MAX : options.max_path_length;
+  const std::size_t max_paths =
+      options.max_paths == 0 ? SIZE_MAX : options.max_paths;
+  PathForecast out;
+  out.nodes_expanded = 1;
   if (source == target) {
-    out.paths.push_back(path);
-    if (out.paths.size() >= lim.max_paths) out.truncated = true;
-    return;
+    on_path(std::span<const Frame>{});
+    out.paths = 1;
+    out.would_truncate = max_paths == 1;
+    return out;
   }
 
+  VisitMask on_stack(view.vertex_count());
+  std::vector<Frame> stack;
+  stack.reserve(64);
+  stack.push_back(Frame{source, 0});
+  on_stack.set(source);
   while (!stack.empty()) {
     Frame& frame = stack.back();
-    const std::span<const CsrArc> incident = view.arcs(frame.v);
-    const bool depth_cut = path.size() >= lim.max_len;
-    if (depth_cut && frame.next_arc < incident.size()) {
-      out.truncated = true;
-    }
-    if (depth_cut || frame.next_arc >= incident.size()) {
-      on_path.reset(frame.v);
-      path.pop_back();
+    const std::span<const CsrArc> arcs = view.arcs(frame.v);
+    if (frame.next_arc >= arcs.size() || stack.size() >= max_len) {
+      // Arcs left here means the depth cut dropped them: a longer path may
+      // have existed.
+      if (frame.next_arc < arcs.size()) out.would_truncate = true;
+      on_stack.reset(frame.v);
       stack.pop_back();
       continue;
     }
-    const CsrArc arc = incident[frame.next_arc++];
-    if (on_path.test(arc.to)) continue;
+    const std::uint32_t w = arcs[frame.next_arc++].to;
+    if (on_stack.test(w)) continue;  // path tracking: no revisits
     ++out.nodes_expanded;
-    if (VertexId{arc.to} == target) {
-      path.push_back(VertexId{arc.to});
-      out.paths.push_back(path);
-      path.pop_back();
-      if (out.paths.size() >= lim.max_paths) {
-        out.truncated = true;
-        return;
+    if (w == target) {
+      on_path(std::span<const Frame>(stack));
+      if (++out.paths >= max_paths) {
+        out.would_truncate = true;
+        return out;
       }
       continue;
     }
-    on_path.set(arc.to);
-    path.push_back(VertexId{arc.to});
-    stack.push_back(Frame{arc.to, 0});
+    on_stack.set(w);
+    stack.push_back(Frame{w, 0});
   }
+  return out;
 }
-
-/// Port of RecursiveSearch.  Kept genuinely recursive (and structurally
-/// identical) because Options::algorithm is part of the engine's cache key:
-/// each algorithm's results — including its truncation-flag quirks at exact
-/// limits — must match the legacy implementation of the *same* algorithm.
-class RecursiveCsrSearch {
- public:
-  RecursiveCsrSearch(const CsrView& view, VertexId target, const Limits& lim,
-                     PathSet& out)
-      : view_(view), target_(index(target)), lim_(lim), out_(out),
-        on_path_(view.vertex_count()) {}
-
-  void run(VertexId source) {
-    path_.push_back(source);
-    on_path_.set(index(source));
-    visit(index(source));
-  }
-
- private:
-  void visit(std::uint32_t v) {
-    ++out_.nodes_expanded;
-    if (v == target_) {
-      out_.paths.push_back(path_);
-      if (out_.paths.size() >= lim_.max_paths) out_.truncated = true;
-      return;
-    }
-    if (path_.size() >= lim_.max_len) {
-      out_.truncated = true;  // a longer path may have existed
-      return;
-    }
-    for (const CsrArc arc : view_.arcs(v)) {
-      if (out_.truncated && out_.paths.size() >= lim_.max_paths) return;
-      if (on_path_.test(arc.to)) continue;  // path tracking: no revisits
-      on_path_.set(arc.to);
-      path_.push_back(VertexId{arc.to});
-      visit(arc.to);
-      path_.pop_back();
-      on_path_.reset(arc.to);
-    }
-  }
-
-  const CsrView& view_;
-  std::uint32_t target_;
-  Limits lim_;
-  PathSet& out_;
-  VisitMask on_path_;
-  Path path_;
-};
 
 }  // namespace
 
 PathSet CsrView::discover(VertexId source, VertexId target,
                           const Options& options) const {
-  obs::ScopedSpan span("pathdisc.discover_csr", "pathdisc");
+  obs::ScopedSpan span("pathdisc.discover", "pathdisc");
   PathSet out;
   out.source = source;
   out.target = target;
-  if (index(source) >= vertex_count() || index(target) >= vertex_count()) {
-    // Same contract as the generic discover(): an unknown id is an empty
-    // answer, not an exception.
-    if (obs::enabled()) detail::record_pair_metrics(out);
-    return out;
-  }
-  const Limits lim = limits_of(options);
-  if (options.algorithm == Algorithm::RecursiveDfs) {
-    if (source == target) {
-      out.nodes_expanded = 1;
-      out.paths.push_back(Path{source});
-      if (obs::enabled()) detail::record_pair_metrics(out);
-      return out;
-    }
-    RecursiveCsrSearch search(*this, target, lim, out);
-    search.run(source);
-    if (out.paths.size() < lim.max_paths && options.max_path_length == 0) {
-      out.truncated = false;
-    }
-  } else {
-    iterative_search_csr(*this, source, target, lim, out);
-    if (out.paths.size() < lim.max_paths && options.max_path_length == 0) {
-      out.truncated = false;
-    }
+  // An unknown id is an empty answer, not an exception (see the
+  // pathdisc::discover() contract).
+  if (index(source) < vertex_count() && index(target) < vertex_count()) {
+    const PathForecast found =
+        search(*this, index(source), index(target), options,
+               [&](std::span<const Frame> prefix) {
+                 Path& path = out.paths.emplace_back();
+                 path.reserve(prefix.size() + 1);
+                 for (const Frame& f : prefix) path.push_back(VertexId{f.v});
+                 path.push_back(target);
+               });
+    out.nodes_expanded = found.nodes_expanded;
+    out.truncated = found.would_truncate;
   }
   if (obs::enabled()) detail::record_pair_metrics(out);
   return out;
+}
+
+PathForecast forecast(const CsrView& view, VertexId source, VertexId target,
+                      const Options& options) {
+  if (index(source) >= view.vertex_count() ||
+      index(target) >= view.vertex_count()) {
+    return {};  // unknown id: the empty answer, never truncated
+  }
+  return search(view, index(source), index(target), options,
+                [](std::span<const Frame>) {});
 }
 
 }  // namespace upsim::pathdisc

@@ -1,11 +1,11 @@
-// Flat CSR projection of graph::Graph for the path-discovery hot loop.
+// Flat CSR projection of graph::Graph, and the one path-discovery kernel.
 //
-// discover() on the generic multigraph pays for generality on every edge
+// A walk over the generic multigraph pays for generality on every edge
 // visit: incident_edges() returns a per-vertex heap vector, opposite() loads
-// a ~100-byte attribute-carrying Edge to compare endpoints, and the on-path
-// mask is a std::vector<bool> proxy.  For the tree-like access networks the
-// paper targets, the DFS is pure pointer chasing over that layout — memory
-// bound, not compute bound.
+// a ~100-byte attribute-carrying Edge to compare endpoints, and an on-path
+// mask would be a std::vector<bool> proxy.  For the tree-like access
+// networks the paper targets, the DFS is pure pointer chasing over that
+// layout — memory bound, not compute bound.
 //
 // CsrView compiles the structure once into two contiguous arrays:
 //
@@ -14,14 +14,12 @@
 //
 // in the POD-adjacency style of SNIPPETS.md's RelianceGraph/DepEdge.  The
 // arcs of vertex v occupy arcs_[offsets_[v] .. offsets_[v+1]) in exactly the
-// edge-insertion order incident_edges(v) reports, so the iterative
-// explicit-stack DFS over these spans reproduces the legacy traversal
-// byte for byte: same paths, same discovery order, same nodes_expanded,
-// same truncation flags.  That equivalence is not an aspiration — the
-// randomized differential suite (tests/test_pathdisc_csr.cpp) holds
-// CsrView::discover to the generic-graph discover() as an oracle across
-// hundreds of generated topologies and option combinations, and the engine
-// keeps the oracle reachable (EngineOptions::use_csr = false) forever.
+// edge-insertion order incident_edges(v) reports, so the discovery order
+// is the graph's.  csr.cpp holds the only all-simple-paths DFS of the
+// module: one explicit-stack loop over these spans, templated on what it
+// does with each path found.  discover() collects the paths;
+// forecast() (forecast.hpp) only counts them.  Its results are held to an
+// independent breadth-first enumerator in tests/ (reference_paths.hpp).
 //
 // The view is immutable after construction and holds no reference to the
 // source graph, so it is freely shared across threads (the engine rebuilds
@@ -69,13 +67,9 @@ class CsrView {
             arcs_.data() + offsets_[v + 1]};
   }
 
-  /// Enumerates all simple paths from `source` to `target` with results
-  /// byte-identical to pathdisc::discover() on the graph this view was
-  /// built from — including the per-algorithm truncation quirks, which are
-  /// mirrored faithfully rather than cleaned up (the engine caches by
-  /// Options, so the two implementations must agree per option set).  An
-  /// out-of-range id yields a well-defined empty PathSet, same as the
-  /// generic implementation.
+  /// Enumerates all simple paths from `source` to `target`; see
+  /// pathdisc::discover() for the contract, which this implements.  An
+  /// out-of-range id yields the well-defined empty PathSet.
   [[nodiscard]] PathSet discover(graph::VertexId source,
                                  graph::VertexId target,
                                  const Options& options = {}) const;
@@ -84,13 +78,5 @@ class CsrView {
   std::vector<std::uint32_t> offsets_;  ///< vertex_count + 1 row starts
   std::vector<CsrArc> arcs_;            ///< 2 * edge_count directed arcs
 };
-
-/// Free-function spelling mirroring pathdisc::discover(graph, ...).
-[[nodiscard]] inline PathSet discover(const CsrView& view,
-                                      graph::VertexId source,
-                                      graph::VertexId target,
-                                      const Options& options = {}) {
-  return view.discover(source, target, options);
-}
 
 }  // namespace upsim::pathdisc

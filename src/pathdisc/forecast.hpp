@@ -4,13 +4,10 @@
 // your configured limits, discovery on this pair will hit max_paths / the
 // depth cut and silently return a lower bound".  The only way to promise
 // that exactly is to run the same search and throw away the paths:
-// forecast() mirrors both discovery kernels (csr.cpp's iterative and
-// recursive ports) line for line, replacing the path vector with a depth
-// counter and the result list with a counter, including the per-algorithm
-// truncation quirks at exact limits and the post-search normalization.  The
-// contract — forecast().would_truncate == discover().truncated, and equal
-// paths / nodes_expanded counts — is held by a randomized differential test
-// (tests/test_lint_semantic.cpp) in the style of the CSR oracle suite.
+// forecast() runs discovery's own kernel (csr.cpp) with a sink that counts
+// paths instead of storing them.  would_truncate therefore equals
+// discover().truncated, and the paths / nodes_expanded counts are equal,
+// because both come from the same code.
 //
 // Cost is bounded by the cost of the discovery it predicts (strictly less:
 // no path materialization), so running it at lint time is safe wherever
@@ -29,7 +26,7 @@ struct PathForecast {
   bool would_truncate = false;     ///< discover() would set truncated
 };
 
-/// Predicts discover(view, source, target, options) without materializing
+/// Predicts view.discover(source, target, options) without materializing
 /// paths.  Out-of-range ids forecast the empty answer, like discover().
 [[nodiscard]] PathForecast forecast(const CsrView& view,
                                     graph::VertexId source,

@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
+#include "pathdisc/csr.hpp"
 #include "util/error.hpp"
 
 namespace upsim::pathdisc {
 
-using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
 using graph::index;
@@ -21,7 +21,6 @@ std::size_t hash_value(const Options& options) noexcept {
     return state ^ (state >> 31);
   };
   std::size_t h = 0x243F6A8885A308D3ULL;
-  h = mix(h, static_cast<std::size_t>(options.algorithm));
   h = mix(h, options.max_path_length);
   h = mix(h, options.max_paths);
   return h;
@@ -63,150 +62,9 @@ void record_pair_metrics(const PathSet& out) {
 
 }  // namespace detail
 
-namespace {
-
-using detail::Limits;
-using detail::limits_of;
-
-/// Recursive DFS with on-path tracking (the paper's algorithm).
-class RecursiveSearch {
- public:
-  RecursiveSearch(const Graph& g, VertexId target, const Limits& lim,
-                  PathSet& out)
-      : g_(g), target_(target), lim_(lim), out_(out),
-        on_path_(g.vertex_count(), false) {}
-
-  void run(VertexId source) {
-    path_.push_back(source);
-    on_path_[index(source)] = true;
-    visit(source);
-  }
-
- private:
-  void visit(VertexId v) {
-    ++out_.nodes_expanded;
-    if (v == target_) {
-      out_.paths.push_back(path_);
-      if (out_.paths.size() >= lim_.max_paths) out_.truncated = true;
-      return;
-    }
-    if (path_.size() >= lim_.max_len) {
-      out_.truncated = true;  // a longer path may have existed
-      return;
-    }
-    for (const EdgeId e : g_.incident_edges(v)) {
-      if (out_.truncated && out_.paths.size() >= lim_.max_paths) return;
-      const VertexId w = g_.opposite(e, v);
-      if (on_path_[index(w)]) continue;  // path tracking: no revisits
-      on_path_[index(w)] = true;
-      path_.push_back(w);
-      visit(w);
-      path_.pop_back();
-      on_path_[index(w)] = false;
-    }
-  }
-
-  const Graph& g_;
-  VertexId target_;
-  Limits lim_;
-  PathSet& out_;
-  std::vector<bool> on_path_;
-  Path path_;
-};
-
-/// Iterative DFS over an explicit stack of (vertex, next-incident-index)
-/// frames.  Visits neighbours in exactly the same order as the recursive
-/// variant, so both produce identical path lists.
-void iterative_search(const Graph& g, VertexId source, VertexId target,
-                      const Limits& lim, PathSet& out) {
-  struct Frame {
-    VertexId v;
-    std::size_t next_edge;
-  };
-  std::vector<bool> on_path(g.vertex_count(), false);
-  Path path{source};
-  std::vector<Frame> stack{{source, 0}};
-  on_path[index(source)] = true;
-  ++out.nodes_expanded;
-  if (source == target) {
-    out.paths.push_back(path);
-    if (out.paths.size() >= lim.max_paths) out.truncated = true;
-    return;
-  }
-
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const auto& incident = g.incident_edges(frame.v);
-    const bool depth_cut = path.size() >= lim.max_len;
-    if (depth_cut && frame.next_edge < incident.size()) {
-      out.truncated = true;
-    }
-    if (depth_cut || frame.next_edge >= incident.size()) {
-      on_path[index(frame.v)] = false;
-      path.pop_back();
-      stack.pop_back();
-      continue;
-    }
-    const EdgeId e = incident[frame.next_edge++];
-    const VertexId w = g.opposite(e, frame.v);
-    if (on_path[index(w)]) continue;
-    ++out.nodes_expanded;
-    if (w == target) {
-      path.push_back(w);
-      out.paths.push_back(path);
-      path.pop_back();
-      if (out.paths.size() >= lim.max_paths) {
-        out.truncated = true;
-        return;
-      }
-      continue;
-    }
-    on_path[index(w)] = true;
-    path.push_back(w);
-    stack.push_back(Frame{w, 0});
-  }
-}
-
-}  // namespace
-
 PathSet discover(const Graph& g, VertexId source, VertexId target,
                  const Options& options) {
-  obs::ScopedSpan span("pathdisc.discover", "pathdisc");
-  PathSet out;
-  out.source = source;
-  out.target = target;
-  if (index(source) >= g.vertex_count() || index(target) >= g.vertex_count()) {
-    // An id that names no vertex can reach nothing: the answer is the
-    // well-defined empty set (see the header contract), identically on
-    // every implementation, rather than an exception from deep inside the
-    // accessor machinery.
-    if (obs::enabled()) detail::record_pair_metrics(out);
-    return out;
-  }
-  const Limits lim = limits_of(options);
-  if (options.algorithm == Algorithm::RecursiveDfs) {
-    if (source == target) {
-      out.nodes_expanded = 1;
-      out.paths.push_back(Path{source});
-      if (obs::enabled()) detail::record_pair_metrics(out);
-      return out;
-    }
-    RecursiveSearch search(g, target, lim, out);
-    search.run(source);
-    // Recursive search sets truncated eagerly when the last allowed path is
-    // found; normalise: truncated only matters if limits actually cut work.
-    if (out.paths.size() < lim.max_paths &&
-        options.max_path_length == 0) {
-      out.truncated = false;
-    }
-  } else {
-    iterative_search(g, source, target, lim, out);
-    if (out.paths.size() < lim.max_paths && options.max_path_length == 0) {
-      out.truncated = false;
-    }
-  }
-  if (obs::enabled()) detail::record_pair_metrics(out);
-  return out;
+  return CsrView(g).discover(source, target, options);
 }
 
 PathSet discover(const Graph& g, std::string_view source,
@@ -219,14 +77,15 @@ std::vector<PathSet> discover_all(
     const Graph& g,
     const std::vector<std::pair<VertexId, VertexId>>& pairs,
     const Options& options, util::ThreadPool* pool) {
+  const CsrView view(g);
   std::vector<PathSet> out(pairs.size());
   if (pool == nullptr) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out[i] = discover(g, pairs[i].first, pairs[i].second, options);
+      out[i] = view.discover(pairs[i].first, pairs[i].second, options);
     }
   } else {
     pool->parallel_for(pairs.size(), [&](std::size_t i) {
-      out[i] = discover(g, pairs[i].first, pairs[i].second, options);
+      out[i] = view.discover(pairs[i].first, pairs[i].second, options);
     });
   }
   return out;

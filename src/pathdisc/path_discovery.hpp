@@ -8,11 +8,12 @@
 // cost is factorial in n on a complete graph, but real access networks are
 // tree-like with few loops, which the benchmarks in bench/ demonstrate.
 //
-// Two interchangeable implementations are provided (an ablation the
-// benches measure): plain recursion, and an explicit-stack iterative DFS
-// that is immune to stack exhaustion on deep topologies.  Both visit
-// neighbours in edge-insertion order, so discovery order is deterministic
-// and reproduces the path listing of Sec. VI-G on the case-study network.
+// There is one implementation: an explicit-stack iterative DFS over the
+// flat CsrView projection (csr.hpp), immune to stack exhaustion on deep
+// topologies.  discover() on a graph::Graph projects and then runs it.  It
+// visits neighbours in edge-insertion order, so discovery order is
+// deterministic and reproduces the path listing of Sec. VI-G on the
+// case-study network.
 #pragma once
 
 #include <cstddef>
@@ -28,15 +29,13 @@ namespace upsim::pathdisc {
 /// A simple path as the sequence of visited vertices, source first.
 using Path = std::vector<graph::VertexId>;
 
-enum class Algorithm { RecursiveDfs, IterativeDfs };
-
+/// Search limits.  PathSet::truncated documents what each one does to the
+/// result.
 struct Options {
-  Algorithm algorithm = Algorithm::IterativeDfs;
   /// Maximum number of vertices per path; 0 = unbounded.  Bounding turns
   /// the exhaustive search into k-hop discovery for very dense cores.
   std::size_t max_path_length = 0;
-  /// Stop after this many paths; 0 = unbounded.  When the limit triggers,
-  /// PathSet::truncated is set.
+  /// Stop after this many paths; 0 = unbounded.
   std::size_t max_paths = 0;
 
   /// Every field participates: two Options compare equal iff discovery is
@@ -64,7 +63,19 @@ struct PathSet {
   graph::VertexId target{};
   std::vector<Path> paths;          ///< in discovery order
   std::size_t nodes_expanded = 0;   ///< DFS tree size (work measure)
-  bool truncated = false;           ///< a limit in Options cut the search
+  /// A limit in Options cut the search.  This is the one meaning of the
+  /// flag; it is set in exactly two cases:
+  ///   - max_paths: the search recorded its max_paths-th path and stopped.
+  ///     The flag is set even when no further path exists: finding that
+  ///     out would run the search to completion, and max_paths would no
+  ///     longer bound the work.
+  ///   - max_path_length: before stopping, the search reached a non-target
+  ///     vertex that ends a path of max_path_length vertices and has at
+  ///     least one link.  Every vertex but the source has one (the link it
+  ///     was reached by), so only a source without links escapes the flag.
+  /// A trivial pair (source == target) stops at its one path, so only
+  /// max_paths == 1 sets the flag there.
+  bool truncated = false;
 
   [[nodiscard]] bool empty() const noexcept { return paths.empty(); }
   [[nodiscard]] std::size_t count() const noexcept { return paths.size(); }
@@ -79,9 +90,11 @@ struct PathSet {
 /// provider run on the same component.  An id outside [0, vertex_count)
 /// names no component, so nothing is reachable: the result is the
 /// well-defined empty PathSet (endpoints echoed back, no paths, zero
-/// nodes_expanded, not truncated) on every implementation — generic graph
-/// and CSR alike.  Name-based lookups still throw NotFoundError: a name
-/// miss is a modelling error, an id miss is an empty answer.
+/// nodes_expanded, not truncated), here and on CsrView::discover alike.
+/// Name-based lookups still throw NotFoundError: a name miss is a
+/// modelling error, an id miss is an empty answer.  Projects `g` to a
+/// CsrView first; callers with many pairs on one graph use discover_all
+/// or keep a CsrView.
 [[nodiscard]] PathSet discover(const graph::Graph& g, graph::VertexId source,
                                graph::VertexId target,
                                const Options& options = {});
@@ -92,9 +105,9 @@ struct PathSet {
                                std::string_view target,
                                const Options& options = {});
 
-/// Discovers several pairs; when `pool` is non-null the pairs are processed
-/// in parallel (the graph is shared read-only).  Result order matches the
-/// input order either way.
+/// Discovers several pairs on one projection of `g`; when `pool` is
+/// non-null the pairs are processed in parallel (the projection is shared
+/// read-only).  Result order matches the input order either way.
 [[nodiscard]] std::vector<PathSet> discover_all(
     const graph::Graph& g,
     const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
@@ -115,22 +128,10 @@ struct PathSet {
 
 namespace detail {
 
-/// Search limits with 0-means-unbounded resolved to SIZE_MAX, shared by the
-/// generic and the CSR discovery kernels so both cut at identical depths.
-struct Limits {
-  std::size_t max_len;    // SIZE_MAX when unbounded
-  std::size_t max_paths;  // SIZE_MAX when unbounded
-};
-
-[[nodiscard]] inline Limits limits_of(const Options& o) noexcept {
-  return Limits{o.max_path_length == 0 ? SIZE_MAX : o.max_path_length,
-                o.max_paths == 0 ? SIZE_MAX : o.max_paths};
-}
-
 /// Aggregates one finished pair into the obs registry (counters +
-/// per-pair histograms).  One call per discover() call, on every
-/// implementation, so metrics stay comparable when the engine switches
-/// between the generic and the CSR kernel.
+/// per-pair histograms).  One call per discovered pair, whichever engine
+/// discovered it, so metrics stay comparable between the graph kernel and
+/// the model-space walk of core::UpsimGenerator.
 void record_pair_metrics(const PathSet& out);
 
 }  // namespace detail

@@ -1,5 +1,7 @@
 #include "server/protocol.hpp"
 
+#include <cmath>
+
 #include "obs/trace.hpp"
 
 namespace upsim::server {
@@ -53,6 +55,19 @@ void write_pairs(obs::JsonWriter& w, const core::UpsimResult& result) {
 
 }  // namespace
 
+std::uint64_t integer_param(const obs::JsonValue& value, std::string_view what,
+                            std::uint64_t min) {
+  constexpr double kMax = 9007199254740992.0;  // 2^53
+  if (value.kind != obs::JsonValue::Kind::Number ||
+      !(value.number >= static_cast<double>(min)) || value.number > kMax ||
+      value.number != std::floor(value.number)) {
+    throw ProtocolError(kStatusBadRequest, "bad_request",
+                        std::string(what) + " must be an integer from " +
+                            std::to_string(min) + " to 2^53");
+  }
+  return static_cast<std::uint64_t>(value.number);
+}
+
 Request parse_request(const obs::JsonValue& document) {
   if (!document.is_object()) {
     throw ProtocolError(kStatusBadRequest, "bad_request",
@@ -60,12 +75,7 @@ Request parse_request(const obs::JsonValue& document) {
   }
   Request req;
   if (document.has("id")) {
-    const obs::JsonValue& id = document.at("id");
-    if (id.kind != obs::JsonValue::Kind::Number || id.number < 0) {
-      throw ProtocolError(kStatusBadRequest, "bad_request",
-                          "request 'id' must be a non-negative number");
-    }
-    req.id = static_cast<std::uint64_t>(id.number);
+    req.id = integer_param(document.at("id"), "request 'id'");
   }
   req.method =
       require(document, "method", obs::JsonValue::Kind::String, "'method'")

@@ -501,12 +501,12 @@ std::string Server::handle_availability(const ModelContext& ctx,
   analysis.monte_carlo_samples = 0;
   const obs::JsonValue& params = req.params;
   if (params.has("monte_carlo_samples")) {
-    analysis.monte_carlo_samples = static_cast<std::size_t>(
-        params.at("monte_carlo_samples").number);
+    analysis.monte_carlo_samples = integer_param(
+        params.at("monte_carlo_samples"), "params 'monte_carlo_samples'");
   }
   if (params.has("seed")) {
     analysis.monte_carlo_seed =
-        static_cast<std::uint64_t>(params.at("seed").number);
+        integer_param(params.at("seed"), "params 'seed'");
   }
   const core::UpsimResult result =
       ctx.engine().query(*q.composite, q.mapping, std::move(q.name));
@@ -757,12 +757,7 @@ std::string Server::handle_scenario_step(const ModelContext& ctx,
   } else {
     std::uint64_t want = 1;
     if (params.has("count")) {
-      if (params.at("count").kind != obs::JsonValue::Kind::Number ||
-          params.at("count").number < 1) {
-        throw ProtocolError(kStatusBadRequest, "bad_request",
-                            "params 'count' must be a positive number");
-      }
-      want = static_cast<std::uint64_t>(params.at("count").number);
+      want = integer_param(params.at("count"), "params 'count'", 1);
     }
     // Serialized: steps apply in trace order even under concurrent
     // requests.  Engine mutators synchronize internally; queries keep
@@ -1112,12 +1107,7 @@ std::string Server::handle_model_activate(const Request& req) {
   std::uint64_t version = 0;
   const obs::JsonValue& params = req.params;
   if (params.has("version")) {
-    if (params.at("version").kind != obs::JsonValue::Kind::Number ||
-        params.at("version").number < 0) {
-      throw ProtocolError(kStatusBadRequest, "bad_request",
-                          "params 'version' must be a non-negative number");
-    }
-    version = static_cast<std::uint64_t>(params.at("version").number);
+    version = integer_param(params.at("version"), "params 'version'");
   }
   const registry::ActivateResult result =
       registry_->activate(req.model, version);
@@ -1178,12 +1168,7 @@ std::string Server::handle_model_delete(const Request& req) {
   std::uint64_t version = 0;
   const obs::JsonValue& params = req.params;
   if (params.has("version")) {
-    if (params.at("version").kind != obs::JsonValue::Kind::Number ||
-        params.at("version").number < 1) {
-      throw ProtocolError(kStatusBadRequest, "bad_request",
-                          "params 'version' must be a positive number");
-    }
-    version = static_cast<std::uint64_t>(params.at("version").number);
+    version = integer_param(params.at("version"), "params 'version'", 1);
   }
   registry_->erase(req.model, version);
   if (version == 0) {

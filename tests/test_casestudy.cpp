@@ -9,6 +9,7 @@
 #include "casestudy/usi.hpp"
 #include "core/analysis.hpp"
 #include "core/upsim_generator.hpp"
+#include "reference_paths.hpp"
 #include "transform/projection.hpp"
 
 namespace upsim {
@@ -83,13 +84,13 @@ TEST_F(CaseStudyTest, SecVIGPathListing) {
   EXPECT_FALSE(set.truncated);
 }
 
-TEST_F(CaseStudyTest, RecursiveAndIterativeAgreeOnCaseStudy) {
+TEST_F(CaseStudyTest, PathsMatchReferenceOnCaseStudy) {
   const graph::Graph g = transform::project(*cs.infrastructure);
-  pathdisc::Options rec{pathdisc::Algorithm::RecursiveDfs, 0, 0};
-  pathdisc::Options itr{pathdisc::Algorithm::IterativeDfs, 0, 0};
-  const auto a = pathdisc::discover(g, "t1", "printS", rec);
-  const auto b = pathdisc::discover(g, "t1", "printS", itr);
-  EXPECT_EQ(a.paths, b.paths);
+  const auto set = pathdisc::discover(g, "t1", "printS");
+  const auto expected = pathdisc::reference::all_paths(
+      g, g.vertex_by_name("t1"), g.vertex_by_name("printS"));
+  EXPECT_EQ(set.paths, expected.paths);  // order included
+  EXPECT_EQ(set.nodes_expanded, expected.nodes_expanded);
 }
 
 TEST_F(CaseStudyTest, Fig11UpsimNodeSet) {

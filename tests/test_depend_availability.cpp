@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "depend/availability.hpp"
 #include "util/error.hpp"
 
@@ -68,9 +71,14 @@ TEST_P(RhoSweepTest, ExactAlwaysAboveLinear) {
   EXPECT_GE(availability_exact(mtbf, mttr), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(MttrSweep, RhoSweepTest,
-                         ::testing::Values(0.0, 0.01, 0.1, 1.0, 10.0, 50.0,
-                                           100.0, 500.0));
+INSTANTIATE_TEST_SUITE_P(
+    MttrSweep, RhoSweepTest,
+    ::testing::Values(0.0, 0.01, 0.1, 1.0, 10.0, 50.0, 100.0, 500.0),
+    [](const ::testing::TestParamInfo<double>& info) {
+      std::string name = ::testing::PrintToString(info.param);
+      std::replace(name.begin(), name.end(), '.', '_');  // 0.01 -> 0_01
+      return name;
+    });
 
 }  // namespace
 }  // namespace upsim::depend

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "depend/reliability.hpp"
 #include "graph/graph.hpp"
 #include "netgen/generators.hpp"
@@ -258,8 +261,13 @@ TEST_P(DensitySweepTest, ThreeEstimatorsAgreeOnRandomGraphs) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Densities, DensitySweepTest,
-                         ::testing::Values(0.0, 0.15, 0.3, 0.5));
+INSTANTIATE_TEST_SUITE_P(
+    Densities, DensitySweepTest, ::testing::Values(0.0, 0.15, 0.3, 0.5),
+    [](const ::testing::TestParamInfo<double>& info) {
+      std::string name = ::testing::PrintToString(info.param);
+      std::replace(name.begin(), name.end(), '.', '_');  // 0.15 -> 0_15
+      return name;
+    });
 
 }  // namespace
 }  // namespace upsim::depend

@@ -195,7 +195,8 @@ TEST_P(SimulatorSeedSweep, AvailabilityWithinToleranceAcrossSeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorSeedSweep,
-                         ::testing::Values(1, 2, 3, 4, 5));
+                         ::testing::Values(1, 2, 3, 4, 5),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace upsim::depend

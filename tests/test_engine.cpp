@@ -8,8 +8,8 @@
 // in CI; they hammer queries while another thread churns topology/epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,6 +20,8 @@
 #include "engine/perspective_engine.hpp"
 #include "netgen/generators.hpp"
 #include "obs/obs.hpp"
+#include "reference_paths.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace upsim {
@@ -268,61 +270,61 @@ TEST_F(EngineDifferentialTest, AvailabilityQueryMatchesAnalysisOnGenerator) {
   EXPECT_DOUBLE_EQ(got.exact_linear, expected.exact_linear);
 }
 
-TEST_F(EngineDifferentialTest, CsrAndGenericPathsAgreeUnderDownOverlay) {
-  // The CSR projection and the generic-graph walk must be two spellings of
-  // one function: same answers cold, from cache, and while a down overlay
+TEST_F(EngineDifferentialTest, ServedPathsMatchReferenceUnderDownOverlay) {
+  // Served paths against the independent reference enumeration
+  // (reference_paths.hpp) minus every path through a failed element: same
+  // paths in the same order cold, from cache, and while a down overlay
   // filters paths at serve time — through a fail/repair cycle that never
   // rebuilds the projection.
-  engine::EngineOptions oracle_options;
-  oracle_options.use_csr = false;
-  engine::PerspectiveEngine csr_engine(*w_.net.infrastructure);
-  engine::PerspectiveEngine oracle_engine(*w_.net.infrastructure,
-                                          oracle_options);
+  const core::UpsimGenerator generator(*w_.net.infrastructure);
+  const graph::Graph& g = generator.infrastructure_graph();
+  engine::PerspectiveEngine engine(*w_.net.infrastructure);
   util::Rng rng(47);
   std::vector<mapping::ServiceMapping> mappings;
   for (int i = 0; i < 8; ++i) {
     mappings.push_back(random_mapping(rng, spec_, w_.client_count(spec_)));
   }
-  // A down element may black out a pair entirely (every discovered path
-  // traverses it) — then query() throws.  The two engines must agree on
-  // that outcome too, with the same diagnostic.
+  std::set<std::string> down;
+  // A down element may black out a pair entirely (every path traverses
+  // it) — then query() throws instead of answering.
   auto compare_all = [&] {
     for (const auto& m : mappings) {
-      std::optional<core::UpsimResult> csr_result;
-      std::string csr_error;
-      try {
-        csr_result = csr_engine.query(w_.composite(), m, "p");
-      } catch (const std::exception& e) {
-        csr_error = e.what();
+      std::vector<std::vector<std::vector<std::string>>> expected;
+      bool blackout = false;
+      for (const auto& pair : m.pairs_for(w_.composite())) {
+        const pathdisc::PathSet all = pathdisc::reference::all_paths(
+            g, g.vertex_by_name(pair.requester),
+            g.vertex_by_name(pair.provider));
+        auto& alive = expected.emplace_back();
+        for (const pathdisc::Path& path : all.paths) {
+          auto names = pathdisc::path_names(g, path);
+          if (std::none_of(names.begin(), names.end(),
+                           [&](const std::string& n) {
+                             return down.contains(n);
+                           })) {
+            alive.push_back(std::move(names));
+          }
+        }
+        if (alive.empty()) blackout = true;
       }
-      std::optional<core::UpsimResult> oracle_result;
-      std::string oracle_error;
-      try {
-        oracle_result = oracle_engine.query(w_.composite(), m, "p");
-      } catch (const std::exception& e) {
-        oracle_error = e.what();
-      }
-      ASSERT_EQ(csr_result.has_value(), oracle_result.has_value())
-          << "csr: " << csr_error << " oracle: " << oracle_error;
-      if (csr_result.has_value()) {
-        expect_structurally_equal(*csr_result, *oracle_result);
+      if (blackout) {
+        EXPECT_THROW((void)engine.query(w_.composite(), m, "p"), ModelError);
       } else {
-        EXPECT_EQ(csr_error, oracle_error);
+        EXPECT_EQ(engine.query(w_.composite(), m, "p").named_paths, expected);
       }
     }
   };
   compare_all();  // cold
   compare_all();  // cached
   for (const auto& element : {std::string("dist1"), std::string("edge0")}) {
-    (void)csr_engine.set_element_state({element}, /*up=*/false);
-    (void)oracle_engine.set_element_state({element}, /*up=*/false);
+    (void)engine.set_element_state({element}, /*up=*/false);
+    down.insert(element);
     compare_all();  // served through the overlay filter
-    (void)csr_engine.set_element_state({element}, /*up=*/true);
-    (void)oracle_engine.set_element_state({element}, /*up=*/true);
+    (void)engine.set_element_state({element}, /*up=*/true);
+    down.erase(element);
   }
   compare_all();  // repaired: cache entries survive, answers still agree
-  csr_engine.notify_topology_changed();
-  oracle_engine.notify_topology_changed();
+  engine.notify_topology_changed();
   compare_all();  // re-projected CSR after an epoch bump
 }
 

@@ -24,6 +24,7 @@
 #include "pathdisc/csr.hpp"
 #include "pathdisc/forecast.hpp"
 #include "pathdisc/path_discovery.hpp"
+#include "reference_paths.hpp"
 #include "scenario/event.hpp"
 #include "transform/projection.hpp"
 #include "uml/class_model.hpp"
@@ -298,7 +299,7 @@ TEST(LintSemanticUsi, CaseStudyIsCleanAtDefaults) {
   EXPECT_TRUE(has_code(analyze_semantic(in, strict), "UPS103"));
 }
 
-// -- UPS104: forecast vs the real kernels ---------------------------------
+// -- UPS104: forecast vs discovery and the reference enumerator -----------
 
 TEST(LintSemanticForecast, MatchesDiscoverOnRandomGraphs) {
   std::mt19937 rng(20260808);
@@ -316,13 +317,11 @@ TEST(LintSemanticForecast, MatchesDiscoverOnRandomGraphs) {
       (void)g.add_edge(a, b);
     }
     pathdisc::Options options;
-    options.algorithm = (rng() % 2 == 0) ? pathdisc::Algorithm::IterativeDfs
-                                         : pathdisc::Algorithm::RecursiveDfs;
     const std::size_t path_caps[] = {0, 1, 2, 5, 8};
     const std::size_t length_caps[] = {0, 2, 3, 5};
     options.max_paths = path_caps[rng() % 5];
     options.max_path_length = length_caps[rng() % 4];
-    // source == target included on purpose: both kernels special-case it.
+    // source == target included on purpose: the kernel special-cases it.
     const auto source = static_cast<graph::VertexId>(rng() % n);
     const auto target = static_cast<graph::VertexId>(rng() % n);
 
@@ -336,6 +335,13 @@ TEST(LintSemanticForecast, MatchesDiscoverOnRandomGraphs) {
     EXPECT_EQ(predicted.would_truncate, actual.truncated) << ctx;
     EXPECT_EQ(predicted.paths, actual.paths.size()) << ctx;
     EXPECT_EQ(predicted.nodes_expanded, actual.nodes_expanded) << ctx;
+    // Forecast and discovery share the kernel; the independent reference
+    // enumeration holds the shared answer.
+    const pathdisc::PathSet expected =
+        pathdisc::reference::all_paths(g, source, target, options);
+    EXPECT_EQ(predicted.would_truncate, expected.truncated) << ctx;
+    EXPECT_EQ(predicted.paths, expected.paths.size()) << ctx;
+    EXPECT_EQ(predicted.nodes_expanded, expected.nodes_expanded) << ctx;
   }
 }
 
@@ -366,20 +372,20 @@ TEST(LintSemanticForecast, Ups104FiresIffDiscoveryWouldTruncate) {
     t.map.map("svc", "h0", provider);
 
     SemanticOptions opts;
-    opts.discovery.algorithm = (rng() % 2 == 0)
-                                   ? pathdisc::Algorithm::IterativeDfs
-                                   : pathdisc::Algorithm::RecursiveDfs;
     const std::size_t path_caps[] = {0, 1, 2, 5, 8};
     const std::size_t length_caps[] = {0, 3, 5, 8};
     opts.discovery.max_paths = path_caps[rng() % 5];
     opts.discovery.max_path_length = length_caps[rng() % 4];
 
-    // The oracle: what the pipeline's own discovery reports.
+    // The oracle: the reference enumeration on the pipeline's projection.
     transform::ProjectionOptions popts;
     popts.require_dependability_attributes = false;
     const graph::Graph g = transform::project(t.objects, popts);
     const bool would_truncate =
-        pathdisc::discover(g, "h0", provider, opts.discovery).truncated;
+        pathdisc::reference::all_paths(g, g.vertex_by_name("h0"),
+                                       g.vertex_by_name(provider),
+                                       opts.discovery)
+            .truncated;
 
     const Report report = analyze_semantic(t.input(), opts);
     const auto warnings = with_code(report, "UPS104");

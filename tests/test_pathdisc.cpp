@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <queue>
 #include <set>
 #include <unordered_map>
 
 #include "graph/graph.hpp"
 #include "netgen/generators.hpp"
 #include "pathdisc/path_discovery.hpp"
+#include "reference_paths.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace upsim::pathdisc {
@@ -16,46 +16,6 @@ namespace {
 
 using graph::Graph;
 using graph::VertexId;
-
-/// Independent reference implementation: breadth-first path extension.
-/// Deliberately a different algorithm/traversal order than the library's
-/// DFS; results are compared as sets.
-std::set<std::vector<std::uint32_t>> reference_all_paths(const Graph& g,
-                                                         VertexId s,
-                                                         VertexId t) {
-  std::set<std::vector<std::uint32_t>> out;
-  std::queue<std::vector<VertexId>> frontier;
-  frontier.push({s});
-  while (!frontier.empty()) {
-    const auto path = frontier.front();
-    frontier.pop();
-    const VertexId last = path.back();
-    if (last == t) {
-      std::vector<std::uint32_t> ids;
-      for (const VertexId v : path) ids.push_back(graph::index(v));
-      out.insert(ids);
-      continue;
-    }
-    for (const graph::EdgeId e : g.incident_edges(last)) {
-      const VertexId next = g.opposite(e, last);
-      if (std::find(path.begin(), path.end(), next) != path.end()) continue;
-      auto extended = path;
-      extended.push_back(next);
-      frontier.push(std::move(extended));
-    }
-  }
-  return out;
-}
-
-std::set<std::vector<std::uint32_t>> as_set(const PathSet& set) {
-  std::set<std::vector<std::uint32_t>> out;
-  for (const auto& path : set.paths) {
-    std::vector<std::uint32_t> ids;
-    for (const VertexId v : path) ids.push_back(graph::index(v));
-    out.insert(ids);
-  }
-  return out;
-}
 
 TEST(PathDiscovery, TreeHasExactlyOnePath) {
   const Graph g = netgen::tree(31, 2);
@@ -108,24 +68,18 @@ TEST(PathDiscovery, DisconnectedPairYieldsEmptySet) {
 
 TEST(PathDiscovery, UnknownNameThrowsButUnknownIdIsEmpty) {
   // A name miss is a modelling error (throws); an id outside the vertex
-  // range names no component and yields the well-defined empty set — on
-  // both algorithms, so the CSR kernel can mirror it exactly.
+  // range names no component and yields the well-defined empty set.
   const Graph g = netgen::ring(4);
   EXPECT_THROW((void)discover(g, "v0", "ghost"), NotFoundError);
-  for (const auto algorithm :
-       {Algorithm::RecursiveDfs, Algorithm::IterativeDfs}) {
-    Options options;
-    options.algorithm = algorithm;
-    const auto set = discover(g, VertexId{0}, VertexId{99}, options);
-    EXPECT_EQ(set.source, VertexId{0});
-    EXPECT_EQ(set.target, VertexId{99});
-    EXPECT_TRUE(set.empty());
-    EXPECT_EQ(set.nodes_expanded, 0u);
-    EXPECT_FALSE(set.truncated);
-    const auto reversed = discover(g, VertexId{99}, VertexId{0}, options);
-    EXPECT_TRUE(reversed.empty());
-    EXPECT_EQ(reversed.nodes_expanded, 0u);
-  }
+  const auto set = discover(g, VertexId{0}, VertexId{99});
+  EXPECT_EQ(set.source, VertexId{0});
+  EXPECT_EQ(set.target, VertexId{99});
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.nodes_expanded, 0u);
+  EXPECT_FALSE(set.truncated);
+  const auto reversed = discover(g, VertexId{99}, VertexId{0});
+  EXPECT_TRUE(reversed.empty());
+  EXPECT_EQ(reversed.nodes_expanded, 0u);
 }
 
 TEST(PathDiscovery, EmptyGraphYieldsEmptySet) {
@@ -150,8 +104,7 @@ TEST(PathDiscovery, TruncationExactlyAtTheLimit) {
   // max_paths equal to the true path count: the search stops on recording
   // the last path and cannot know nothing else existed, so truncated is
   // set.  One above the true count: the search drains and truncated is
-  // cleared.  Both behaviours are part of the oracle contract the CSR
-  // kernel mirrors.
+  // clear.  Both are part of the documented meaning of the flag.
   const Graph g = netgen::ring(9);  // any pair has exactly two paths
   Options at;
   at.max_paths = 2;
@@ -182,6 +135,31 @@ TEST(PathDiscovery, MaxLengthBoundsSearch) {
   EXPECT_EQ(set.count(), 1u);
   EXPECT_TRUE(set.truncated);
   EXPECT_EQ(set.longest(), 5u);
+}
+
+TEST(PathDiscovery, DepthCutFlagsOnlyAVertexWithLinks) {
+  // max_path_length 1 leaves room for the source alone: a source with a
+  // link is cut (truncated), a source without one has nothing to cut.
+  Graph g;
+  g.add_vertex("a");
+  g.add_vertex("b");
+  g.add_vertex("lonely");
+  g.add_edge("a", "b");
+  Options one;
+  one.max_path_length = 1;
+  const auto cut = discover(g, "a", "b", one);
+  EXPECT_TRUE(cut.empty());
+  EXPECT_EQ(cut.nodes_expanded, 1u);
+  EXPECT_TRUE(cut.truncated);
+  const auto isolated = discover(g, "lonely", "b", one);
+  EXPECT_TRUE(isolated.empty());
+  EXPECT_FALSE(isolated.truncated);
+  // A trivial pair never reaches the depth cut; only max_paths == 1 flags
+  // its single path.
+  EXPECT_FALSE(discover(g, "a", "a", one).truncated);
+  Options first;
+  first.max_paths = 1;
+  EXPECT_TRUE(discover(g, "a", "a", first).truncated);
 }
 
 TEST(PathDiscovery, ParallelEdgesYieldDistinctTraversals) {
@@ -219,22 +197,14 @@ TEST(PathDiscovery, MergePathVerticesIgnoresDuplicates) {
   EXPECT_EQ(merged.size(), 6u);  // both arcs cover the whole ring
 }
 
-struct AlgoCase {
-  Algorithm algorithm;
-  const char* label;
-};
-
-class AlgorithmEquivalenceTest : public ::testing::TestWithParam<AlgoCase> {};
-
-TEST_P(AlgorithmEquivalenceTest, MatchesReferenceOnRandomGraphs) {
+TEST(PathDiscovery, MatchesReferenceOnRandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Graph g = netgen::erdos_renyi(10, 0.3, seed);
     const VertexId s{0};
     const VertexId t{9};
-    Options options;
-    options.algorithm = GetParam().algorithm;
-    const auto set = discover(g, s, t, options);
-    EXPECT_EQ(as_set(set), reference_all_paths(g, s, t)) << "seed " << seed;
+    const auto set = discover(g, s, t);
+    reference::expect_matches(set, g, s, t, {},
+                              "seed " + std::to_string(seed));
     // All discovered paths are simple and well-formed.
     for (const auto& path : set.paths) {
       ASSERT_GE(path.size(), 2u);
@@ -255,26 +225,40 @@ TEST_P(AlgorithmEquivalenceTest, MatchesReferenceOnRandomGraphs) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothAlgorithms, AlgorithmEquivalenceTest,
-    ::testing::Values(AlgoCase{Algorithm::RecursiveDfs, "recursive"},
-                      AlgoCase{Algorithm::IterativeDfs, "iterative"}),
-    [](const ::testing::TestParamInfo<AlgoCase>& info) {
-      return info.param.label;
-    });
-
-TEST(PathDiscovery, RecursiveAndIterativeIdenticalIncludingOrder) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Graph g = netgen::erdos_renyi(11, 0.25, seed);
-    Options rec;
-    rec.algorithm = Algorithm::RecursiveDfs;
-    Options itr;
-    itr.algorithm = Algorithm::IterativeDfs;
-    const auto a = discover(g, VertexId{0}, VertexId{10}, rec);
-    const auto b = discover(g, VertexId{0}, VertexId{10}, itr);
-    EXPECT_EQ(a.paths, b.paths) << "seed " << seed;  // order included
-    EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << "seed " << seed;
+TEST(PathDiscovery, MatchesReferenceOnRandomMultigraphsUnderLimits) {
+  // Graphs of at most 9 vertices with parallel links, crossed with both
+  // limits — small enough that every cut lands somewhere interesting.
+  util::Rng rng(20261020);
+  for (int c = 0; c < 400; ++c) {
+    const Graph g = reference::random_multigraph(rng, 9);
+    const auto n = static_cast<std::uint32_t>(g.vertex_count());
+    const VertexId s{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
+    VertexId t{static_cast<std::uint32_t>(rng.uniform_int(0, n - 1))};
+    if (rng.bernoulli(0.1)) t = s;
+    Options options;
+    options.max_path_length = rng.uniform_int(0, 6);
+    options.max_paths = rng.bernoulli(0.5) ? 0 : rng.uniform_int(1, 8);
+    reference::expect_matches(discover(g, s, t, options), g, s, t, options,
+                              "case " + std::to_string(c));
   }
+}
+
+TEST(PathDiscovery, ReferenceAgreesWithClosedForms) {
+  // The oracle itself, against counts known without enumeration.
+  const std::size_t n = 7;
+  const Graph complete = netgen::complete(n);
+  EXPECT_EQ(reference::all_paths(complete, VertexId{0}, VertexId{6}).count(),
+            326u);  // sum_{k=0}^{n-2} (n-2)!/(n-2-k)!
+  const Graph ring = netgen::ring(9);
+  EXPECT_EQ(reference::all_paths(ring, VertexId{0}, VertexId{4}).count(), 2u);
+  Graph dual;
+  dual.add_vertex("a");
+  dual.add_vertex("b");
+  dual.add_edge("a", "b");
+  dual.add_edge("a", "b");
+  const auto both = reference::all_paths(dual, VertexId{0}, VertexId{1});
+  EXPECT_EQ(both.count(), 2u);  // one per parallel link
+  EXPECT_EQ(both.nodes_expanded, 3u);
 }
 
 TEST(PathDiscovery, DiscoverAllSerialAndParallelAgree) {
@@ -298,10 +282,8 @@ TEST(PathDiscovery, IterativeHandlesDeepGraphs) {
   // vertex; the iterative algorithm must handle it.
   const std::size_t n = 60000;
   const Graph g = netgen::tree(n, 1);  // a path graph
-  Options options;
-  options.algorithm = Algorithm::IterativeDfs;
-  const auto set = discover(
-      g, VertexId{0}, VertexId{static_cast<std::uint32_t>(n - 1)}, options);
+  const auto set =
+      discover(g, VertexId{0}, VertexId{static_cast<std::uint32_t>(n - 1)});
   ASSERT_EQ(set.count(), 1u);
   EXPECT_EQ(set.paths[0].size(), n);
 }
@@ -313,34 +295,26 @@ TEST(PathDiscovery, NodesExpandedGrowsWithDensity) {
 }
 
 TEST(PathDiscoveryOptions, EqualityCoversEveryField) {
-  const Options base{Algorithm::IterativeDfs, 5, 10};
+  const Options base{5, 10};
   EXPECT_EQ(base, base);
-  EXPECT_EQ(base, (Options{Algorithm::IterativeDfs, 5, 10}));
+  EXPECT_EQ(base, (Options{5, 10}));
   // Flipping any single field breaks equality — an Options field invisible
   // to operator== would silently alias engine cache entries.
-  EXPECT_NE(base, (Options{Algorithm::RecursiveDfs, 5, 10}));
-  EXPECT_NE(base, (Options{Algorithm::IterativeDfs, 6, 10}));
-  EXPECT_NE(base, (Options{Algorithm::IterativeDfs, 5, 11}));
+  EXPECT_NE(base, (Options{6, 10}));
+  EXPECT_NE(base, (Options{5, 11}));
   EXPECT_EQ(Options{}, Options{});
 }
 
 TEST(PathDiscoveryOptions, HashIsConsistentWithEquality) {
-  const Options a{Algorithm::IterativeDfs, 5, 10};
-  const Options b{Algorithm::IterativeDfs, 5, 10};
+  const Options a{5, 10};
+  const Options b{5, 10};
   EXPECT_EQ(hash_value(a), hash_value(b));
   EXPECT_EQ(OptionsHash{}(a), hash_value(a));
 
   // Unequal options should hash apart; check every single-field flip and
   // a swap of the two limit fields (a combine that ignored field position
   // would collide on the swap).
-  const std::vector<Options> distinct = {
-      a,
-      {Algorithm::RecursiveDfs, 5, 10},
-      {Algorithm::IterativeDfs, 6, 10},
-      {Algorithm::IterativeDfs, 5, 11},
-      {Algorithm::IterativeDfs, 10, 5},
-      {},
-  };
+  const std::vector<Options> distinct = {a, {6, 10}, {5, 11}, {10, 5}, {}};
   std::set<std::size_t> hashes;
   for (const Options& o : distinct) hashes.insert(hash_value(o));
   EXPECT_EQ(hashes.size(), distinct.size());
@@ -348,11 +322,11 @@ TEST(PathDiscoveryOptions, HashIsConsistentWithEquality) {
 
 TEST(PathDiscoveryOptions, WorksAsUnorderedMapKey) {
   std::unordered_map<Options, int, OptionsHash> memo;
-  memo[Options{Algorithm::IterativeDfs, 0, 0}] = 1;
-  memo[Options{Algorithm::IterativeDfs, 0, 7}] = 2;
+  memo[Options{0, 0}] = 1;
+  memo[Options{0, 7}] = 2;
   EXPECT_EQ(memo.size(), 2u);
   EXPECT_EQ(memo.at(Options{}), 1);
-  EXPECT_EQ(memo.at(Options{Algorithm::IterativeDfs, 0, 7}), 2);
+  EXPECT_EQ(memo.at(Options{0, 7}), 2);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// CSR path-discovery differential suite.
+// CSR path-discovery suite.
 //
-// pathdisc::CsrView::discover claims *byte-identical* results to the
-// generic-graph discover() — same paths in the same discovery order, same
-// nodes_expanded, same truncation flags — for every topology and every
-// Options combination.  This file holds it to that with the legacy
-// implementation as a randomized differential oracle: hundreds of seeded
-// netgen topologies (trees, campus meshes, Erdős–Rényi, grids, rings,
-// complete cores, parallel-link multigraphs) crossed with randomized
-// max_hops/truncation options and both algorithms, plus targeted edge
+// CsrView::discover is the one discovery kernel; pathdisc::discover on a
+// graph::Graph projects and runs it.  This file holds it to the
+// independent breadth-first reference (reference_paths.hpp) — same paths
+// in the same discovery order, same nodes_expanded, same truncation flag —
+// across hundreds of seeded netgen topologies (trees, campus meshes,
+// Erdős–Rényi, grids, rings, complete cores, parallel-link multigraphs)
+// crossed with randomized max_hops/truncation options, plus targeted edge
 // cases and a concurrency stress case that runs CSR discovery through the
 // engine from many threads (the TSan CI target).
 #include <gtest/gtest.h>
@@ -17,11 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/upsim_generator.hpp"
 #include "engine/perspective_engine.hpp"
 #include "graph/graph.hpp"
 #include "netgen/generators.hpp"
 #include "pathdisc/csr.hpp"
 #include "pathdisc/path_discovery.hpp"
+#include "reference_paths.hpp"
 #include "service/service.hpp"
 #include "util/rng.hpp"
 
@@ -31,15 +32,7 @@ namespace {
 using graph::Graph;
 using graph::VertexId;
 
-/// The whole contract in one assertion: every observable field equal.
-void expect_identical(const PathSet& csr, const PathSet& legacy,
-                      const std::string& context) {
-  EXPECT_EQ(csr.source, legacy.source) << context;
-  EXPECT_EQ(csr.target, legacy.target) << context;
-  EXPECT_EQ(csr.paths, legacy.paths) << context;  // order included
-  EXPECT_EQ(csr.nodes_expanded, legacy.nodes_expanded) << context;
-  EXPECT_EQ(csr.truncated, legacy.truncated) << context;
-}
+using reference::expect_matches;
 
 /// One random topology per seed, spanning the shapes the paper's workloads
 /// produce: tree-like access networks, meshy campus cores, random graphs,
@@ -67,33 +60,17 @@ Graph random_topology(util::Rng& rng) {
       return netgen::ring(rng.uniform_int(3, 20));
     case 5:
       return netgen::complete(rng.uniform_int(2, 7));
-    default: {
+    default:
       // Random multigraph with deliberate parallel links: CSR must expand
       // each parallel edge as its own arc, exactly like incident_edges.
-      const std::size_t n = rng.uniform_int(2, 8);
-      Graph g;
-      for (std::size_t i = 0; i < n; ++i) {
-        g.add_vertex("m" + std::to_string(i));
-      }
-      const std::size_t links = rng.uniform_int(1, 2 * n);
-      for (std::size_t l = 0; l < links; ++l) {
-        const auto a = rng.uniform_int(0, n - 1);
-        auto b = rng.uniform_int(0, n - 1);
-        if (a == b) b = (b + 1) % n;  // no self-loops
-        g.add_edge(VertexId{static_cast<std::uint32_t>(a)},
-                   VertexId{static_cast<std::uint32_t>(b)});
-      }
-      return g;
-    }
+      return reference::random_multigraph(rng, 9);
   }
 }
 
-/// Randomized Options: both algorithms, bounded/unbounded hops and path
-/// counts, including limits small enough to truncate aggressively.
+/// Randomized Options: bounded/unbounded hops and path counts, including
+/// limits small enough to truncate aggressively.
 Options random_options(util::Rng& rng) {
   Options options;
-  options.algorithm = rng.bernoulli(0.5) ? Algorithm::IterativeDfs
-                                         : Algorithm::RecursiveDfs;
   switch (rng.uniform_int(0, 3)) {
     case 0: options.max_path_length = 0; break;
     case 1: options.max_path_length = rng.uniform_int(1, 3); break;
@@ -109,8 +86,8 @@ Options random_options(util::Rng& rng) {
   return options;
 }
 
-TEST(CsrDifferential, RandomizedTopologiesAndOptionsMatchLegacyOracle) {
-  constexpr int kCases = 240;  // >= 200 generated cases, ISSUE 8 floor
+TEST(CsrDifferential, RandomizedTopologiesAndOptionsMatchReference) {
+  constexpr int kCases = 240;  // >= 200 generated cases
   util::Rng rng(20260808);
   for (int c = 0; c < kCases; ++c) {
     const Graph g = random_topology(rng);
@@ -125,33 +102,27 @@ TEST(CsrDifferential, RandomizedTopologiesAndOptionsMatchLegacyOracle) {
     if (rng.bernoulli(0.05)) t = VertexId{n + 7};  // unknown id
     const Options options = random_options(rng);
 
-    const PathSet legacy = discover(g, s, t, options);
-    const PathSet flat = view.discover(s, t, options);
-    expect_identical(flat, legacy,
-                     "case " + std::to_string(c) + " s=" +
-                         std::to_string(graph::index(s)) + " t=" +
-                         std::to_string(graph::index(t)));
+    expect_matches(view.discover(s, t, options), g, s, t, options,
+                   "case " + std::to_string(c) + " s=" +
+                       std::to_string(graph::index(s)) + " t=" +
+                       std::to_string(graph::index(t)));
   }
 }
 
-TEST(CsrDifferential, BothAlgorithmsAgreeWithTheirLegacyCounterparts) {
-  // The two algorithms have (deliberately preserved) different truncation
-  // quirks at exact limits; verify the CSR port mirrors each one, not a
-  // cleaned-up merge of the two.
+TEST(CsrDifferential, LimitGridMatchesReference) {
+  // Every combination of the two limits on the same graphs, including the
+  // exact-limit corners of the truncated flag.
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Graph g = netgen::erdos_renyi(10, 0.3, seed);
     const CsrView view(g);
-    for (const auto algorithm :
-         {Algorithm::RecursiveDfs, Algorithm::IterativeDfs}) {
-      for (const std::size_t max_len : {std::size_t{0}, std::size_t{3},
-                                        std::size_t{5}}) {
-        for (const std::size_t max_paths : {std::size_t{0}, std::size_t{1},
-                                            std::size_t{4}}) {
-          const Options options{algorithm, max_len, max_paths};
-          expect_identical(view.discover(VertexId{0}, VertexId{9}, options),
-                           discover(g, VertexId{0}, VertexId{9}, options),
-                           "seed " + std::to_string(seed));
-        }
+    for (const std::size_t max_len : {std::size_t{0}, std::size_t{3},
+                                      std::size_t{5}}) {
+      for (const std::size_t max_paths : {std::size_t{0}, std::size_t{1},
+                                          std::size_t{4}}) {
+        const Options options{max_len, max_paths};
+        expect_matches(view.discover(VertexId{0}, VertexId{9}, options), g,
+                       VertexId{0}, VertexId{9}, options,
+                       "seed " + std::to_string(seed));
       }
     }
   }
@@ -196,23 +167,22 @@ TEST(CsrView, EmptyAndDefaultViewsYieldEmptySets) {
   const Graph empty;
   const CsrView projected(empty);
   EXPECT_EQ(projected.vertex_count(), 0u);
-  expect_identical(projected.discover(VertexId{0}, VertexId{1}),
-                   discover(empty, VertexId{0}, VertexId{1}), "empty graph");
+  const PathSet none = projected.discover(VertexId{0}, VertexId{1});
+  EXPECT_EQ(none.source, VertexId{0});
+  EXPECT_EQ(none.target, VertexId{1});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.nodes_expanded, 0u);
+  EXPECT_FALSE(none.truncated);
 }
 
-TEST(CsrView, EdgeCasesMatchLegacyOracle) {
+TEST(CsrView, EdgeCasesMatchReference) {
   // Single vertex, source == target.
   Graph single;
   single.add_vertex("only");
   const CsrView single_view(single);
-  for (const auto algorithm :
-       {Algorithm::RecursiveDfs, Algorithm::IterativeDfs}) {
-    Options options;
-    options.algorithm = algorithm;
-    expect_identical(single_view.discover(VertexId{0}, VertexId{0}, options),
-                     discover(single, VertexId{0}, VertexId{0}, options),
-                     "single vertex");
-  }
+  expect_matches(single_view.discover(VertexId{0}, VertexId{0}),
+                 single, VertexId{0}, VertexId{0}, {},
+                 "single vertex");
 
   // Disconnected pair.
   Graph split;
@@ -223,8 +193,8 @@ TEST(CsrView, EdgeCasesMatchLegacyOracle) {
   const CsrView split_view(split);
   const PathSet none = split_view.discover(VertexId{0}, VertexId{2});
   EXPECT_TRUE(none.empty());
-  expect_identical(none, discover(split, VertexId{0}, VertexId{2}),
-                   "disconnected");
+  expect_matches(none, split, VertexId{0}, VertexId{2}, {},
+                 "disconnected");
 
   // Parallel links: one traversal per link, identical vertex sequences.
   Graph dual;
@@ -235,11 +205,11 @@ TEST(CsrView, EdgeCasesMatchLegacyOracle) {
   const CsrView dual_view(dual);
   const PathSet both = dual_view.discover(VertexId{0}, VertexId{1});
   EXPECT_EQ(both.count(), 2u);
-  expect_identical(both, discover(dual, VertexId{0}, VertexId{1}),
-                   "parallel links");
+  expect_matches(both, dual, VertexId{0}, VertexId{1}, {},
+                 "parallel links");
 
-  // Truncation exactly at the limit (max_paths == #paths): the legacy
-  // kernels flag this as truncated — preserved, not "fixed", in CSR.
+  // Truncation exactly at the limit (max_paths == #paths): the search stops
+  // on the last path without knowing it was the last, so it is flagged.
   const Graph ring = netgen::ring(8);
   const CsrView ring_view(ring);
   Options exact;
@@ -247,13 +217,13 @@ TEST(CsrView, EdgeCasesMatchLegacyOracle) {
   const PathSet at_limit = ring_view.discover(VertexId{0}, VertexId{4}, exact);
   EXPECT_EQ(at_limit.count(), 2u);
   EXPECT_TRUE(at_limit.truncated);
-  expect_identical(at_limit, discover(ring, VertexId{0}, VertexId{4}, exact),
-                   "truncation at limit");
+  expect_matches(at_limit, ring, VertexId{0}, VertexId{4}, exact,
+                 "truncation at limit");
   Options above;
   above.max_paths = 3;
-  expect_identical(ring_view.discover(VertexId{0}, VertexId{4}, above),
-                   discover(ring, VertexId{0}, VertexId{4}, above),
-                   "limit above path count");
+  expect_matches(ring_view.discover(VertexId{0}, VertexId{4}, above),
+                 ring, VertexId{0}, VertexId{4}, above,
+                 "limit above path count");
 }
 
 // -- CSR discovery through the engine, concurrently (the TSan target) --------
@@ -274,7 +244,6 @@ TEST(CsrEngineStress, ConcurrentEngineQueriesOnCsrDuringOverlayChurn) {
   engine::EngineOptions options;
   options.threads = 4;
   options.record_in_space = false;
-  ASSERT_TRUE(options.use_csr);  // the default — this test exists for it
   engine::PerspectiveEngine engine(*net.infrastructure, options);
 
   util::Rng rng(97);
@@ -325,14 +294,23 @@ TEST(CsrEngineStress, ConcurrentEngineQueriesOnCsrDuringOverlayChurn) {
   mutator.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Settled: CSR-served answers equal the legacy-oracle engine's.
-  engine::EngineOptions oracle_options = options;
-  oracle_options.use_csr = false;
-  engine::PerspectiveEngine oracle(*net.infrastructure, oracle_options);
+  // Settled: CSR-served answers equal the reference enumeration on the
+  // same projection of the infrastructure.
+  const core::UpsimGenerator generator(*net.infrastructure);
+  const Graph& g = generator.infrastructure_graph();
   for (const auto& m : mappings) {
-    const auto a = engine.query(composite, m, "settled");
-    const auto b = oracle.query(composite, m, "settled");
-    EXPECT_EQ(a.named_paths, b.named_paths);
+    const auto result = engine.query(composite, m, "settled");
+    ASSERT_EQ(result.pairs.size(), result.named_paths.size());
+    for (std::size_t i = 0; i < result.pairs.size(); ++i) {
+      const PathSet expected = reference::all_paths(
+          g, g.vertex_by_name(result.pairs[i].requester),
+          g.vertex_by_name(result.pairs[i].provider));
+      std::vector<std::vector<std::string>> names;
+      for (const Path& path : expected.paths) {
+        names.push_back(path_names(g, path));
+      }
+      EXPECT_EQ(result.named_paths[i], names) << "pair " << i;
+    }
   }
 }
 

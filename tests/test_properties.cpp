@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/analysis.hpp"
 #include "core/upsim_generator.hpp"
@@ -28,6 +29,16 @@ struct CampusParam {
   std::size_t clients_per_edge;
   bool redundant;
 };
+
+/// "d3_e2_c2_redundant": the campus shape, readable in test names.
+std::string label(const CampusParam& p) {
+  return "d" + std::to_string(p.distribution) + "_e" +
+         std::to_string(p.edge_per_distribution) + "_c" +
+         std::to_string(p.clients_per_edge) +
+         (p.redundant ? "_redundant" : "_single");
+}
+
+void PrintTo(const CampusParam& p, std::ostream* os) { *os << label(p); }
 
 class CampusPipelineProperty : public ::testing::TestWithParam<CampusParam> {};
 
@@ -86,7 +97,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CampusParam{1, 1, 1, false}, CampusParam{2, 1, 2, true},
                       CampusParam{3, 2, 2, true}, CampusParam{4, 2, 3, true},
                       CampusParam{5, 3, 2, false},
-                      CampusParam{6, 2, 4, true}));
+                      CampusParam{6, 2, 4, true}),
+    [](const ::testing::TestParamInfo<CampusParam>& info) {
+      return label(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Reliability invariants on random graphs
@@ -156,7 +170,8 @@ TEST_P(ReliabilityProperty, MultiPairExactBetweenBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReliabilityProperty,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
+                         ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------------------
 // Path discovery growth laws

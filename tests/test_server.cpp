@@ -615,6 +615,49 @@ TEST(ServerTest, OldFormatFramesWithoutTraceAreStillServed) {
   }
 }
 
+TEST(ServerTest, OutOfRangeIntegerParamsGet400) {
+  // Every integer wire value goes through one checked conversion: a
+  // string, a fraction, a negative number or one beyond 2^53 is a
+  // 400 bad_request, never a cast of an out-of-range double.
+  Stack stack;
+  net::Client raw = stack.client();
+  std::string query = stack.t1_p2_params("ints");
+  query.back() = ',';  // room for one more member
+  for (const std::string bad : {"1e300", "-1", "1.5", R"("x")"}) {
+    const std::string requests[] = {
+        R"({"id":)" + bad + R"(,"method":"health"})",
+        R"({"id":1,"method":"availability","params":)" + query +
+            R"("monte_carlo_samples":)" + bad + "}}",
+        R"({"id":1,"method":"availability","params":)" + query +
+            R"("seed":)" + bad + "}}",
+        R"({"id":1,"method":"scenario_step","params":{"count":)" + bad +
+            "}}",
+        R"({"id":1,"method":"model_activate","model":"acme/usi",)"
+        R"("params":{"version":)" + bad + "}}",
+        R"({"id":1,"method":"model_delete","model":"acme/usi",)"
+        R"("params":{"version":)" + bad + "}}",
+    };
+    for (const std::string& request : requests) {
+      const obs::JsonValue doc = obs::json_parse(raw.roundtrip_raw(request));
+      EXPECT_EQ(static_cast<int>(doc.at("status").number), 400) << request;
+      EXPECT_EQ(doc.at("error").at("code").string, "bad_request") << request;
+    }
+  }
+  // Each method's lower bound holds too; in-range values are served.
+  const obs::JsonValue zero = obs::json_parse(raw.roundtrip_raw(
+      R"({"id":1,"method":"scenario_step","params":{"count":0}})"));
+  EXPECT_EQ(static_cast<int>(zero.at("status").number), 400);
+  const obs::JsonValue largest = obs::json_parse(raw.roundtrip_raw(
+      R"({"id":9007199254740992,"method":"scenario_step",)"
+      R"("params":{"count":2}})"));
+  EXPECT_EQ(static_cast<int>(largest.at("status").number), 200);
+  EXPECT_EQ(largest.at("id").number, 9007199254740992.0);
+  const obs::JsonValue seeded = obs::json_parse(raw.roundtrip_raw(
+      R"({"id":2,"method":"availability","params":)" + query +
+      R"("monte_carlo_samples":0,"seed":7}})"));
+  EXPECT_EQ(static_cast<int>(seeded.at("status").number), 200);
+}
+
 TEST(ServerTest, MetricsReportsResponseCacheEffectiveness) {
   Stack stack;
   net::Client client = stack.client();

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "util/error.hpp"
@@ -50,9 +51,15 @@ TEST(Strings, StartsEndsWith) {
 TEST(Strings, ToLower) { EXPECT_EQ(to_lower("MtBf-42"), "mtbf-42"); }
 
 struct IdentifierCase {
+  const char* label;
   const char* input;
   bool valid;
 };
+
+void PrintTo(const IdentifierCase& c, std::ostream* os) {
+  *os << c.label << ' ' << ::testing::PrintToString(std::string(c.input))
+      << (c.valid ? " valid" : " invalid");
+}
 
 class IdentifierTest : public ::testing::TestWithParam<IdentifierCase> {};
 
@@ -63,14 +70,19 @@ TEST_P(IdentifierTest, Classification) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, IdentifierTest,
-    ::testing::Values(IdentifierCase{"t1", true}, IdentifierCase{"printS", true},
-                      IdentifierCase{"_x", true},
-                      IdentifierCase{"send_documents", true},
-                      IdentifierCase{"a.b-c", true}, IdentifierCase{"", false},
-                      IdentifierCase{"1abc", false},
-                      IdentifierCase{"has space", false},
-                      IdentifierCase{"semi;colon", false},
-                      IdentifierCase{"-lead", false}));
+    ::testing::Values(IdentifierCase{"t1", "t1", true},
+                      IdentifierCase{"printS", "printS", true},
+                      IdentifierCase{"underscore_lead", "_x", true},
+                      IdentifierCase{"send_documents", "send_documents", true},
+                      IdentifierCase{"dot_and_dash", "a.b-c", true},
+                      IdentifierCase{"empty", "", false},
+                      IdentifierCase{"digit_lead", "1abc", false},
+                      IdentifierCase{"space", "has space", false},
+                      IdentifierCase{"semicolon", "semi;colon", false},
+                      IdentifierCase{"dash_lead", "-lead", false}),
+    [](const ::testing::TestParamInfo<IdentifierCase>& info) {
+      return info.param.label;
+    });
 
 TEST(Strings, FormatSig) {
   EXPECT_EQ(format_sig(0.991694, 3), "0.992");

@@ -88,6 +88,10 @@ struct SyntaxErrorCase {
   const char* source;
 };
 
+void PrintTo(const SyntaxErrorCase& c, std::ostream* os) {
+  *os << c.label << ' ' << ::testing::PrintToString(std::string(c.source));
+}
+
 class VtclSyntaxErrorTest : public ::testing::TestWithParam<SyntaxErrorCase> {};
 
 TEST_P(VtclSyntaxErrorTest, Rejected) {

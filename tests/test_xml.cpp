@@ -73,6 +73,10 @@ struct MalformedCase {
   const char* input;
 };
 
+void PrintTo(const MalformedCase& c, std::ostream* os) {
+  *os << c.label << ' ' << ::testing::PrintToString(std::string(c.input));
+}
+
 class MalformedXmlTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(MalformedXmlTest, Rejected) {
@@ -118,6 +122,11 @@ struct PositionedErrorCase {
   const char* input;
   std::size_t line;
 };
+
+void PrintTo(const PositionedErrorCase& c, std::ostream* os) {
+  *os << c.label << ' ' << ::testing::PrintToString(std::string(c.input))
+      << " line " << c.line;
+}
 
 class ParseErrorPositionTest
     : public ::testing::TestWithParam<PositionedErrorCase> {};
