@@ -1,11 +1,10 @@
-// Supporting micro-bench — the VPM model space and pattern matcher that
-// the importers and the path-storage step run on (Sec. V-C).
+// Supporting micro-bench — the VPM model space that the importers and the
+// path-storage step run on (Sec. V-C).
 #include <benchmark/benchmark.h>
 
 #include "netgen/generators.hpp"
 #include "transform/uml_importer.hpp"
 #include "vpm/model_space.hpp"
-#include "vpm/pattern.hpp"
 
 namespace {
 
@@ -55,43 +54,6 @@ void BM_UmlImport(benchmark::State& state) {
       static_cast<double>(net.infrastructure->instance_count());
 }
 BENCHMARK(BM_UmlImport)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_PatternTypeScan(benchmark::State& state) {
-  netgen::CampusSpec spec;
-  spec.distribution = static_cast<std::size_t>(state.range(0));
-  const auto net = netgen::uml_campus(spec);
-  vpm::ModelSpace space;
-  transform::import_class_model(space, net.infrastructure->class_model());
-  transform::import_object_model(space, *net.infrastructure);
-  vpm::Pattern pattern("clients");
-  pattern.type_of("c", "models.campus_classes.classes.Client");
-  for (auto _ : state) {
-    auto n = pattern.count(space);
-    benchmark::DoNotOptimize(n);
-  }
-}
-BENCHMARK(BM_PatternTypeScan)->Arg(2)->Arg(32)->Arg(128);
-
-void BM_PatternRelationalJoin(benchmark::State& state) {
-  // Client --link--> edge switch joins across the whole instance set.
-  netgen::CampusSpec spec;
-  spec.distribution = static_cast<std::size_t>(state.range(0));
-  const auto net = netgen::uml_campus(spec);
-  vpm::ModelSpace space;
-  transform::import_class_model(space, net.infrastructure->class_model());
-  transform::import_object_model(space, *net.infrastructure);
-  vpm::Pattern pattern("client_uplinks");
-  pattern.type_of("c", "models.campus_classes.classes.Client")
-      .type_of("s", "models.campus_classes.classes.Switch")
-      .related("c", "link", "s");
-  std::size_t matches = 0;
-  for (auto _ : state) {
-    matches = pattern.count(space);
-    benchmark::DoNotOptimize(matches);
-  }
-  state.counters["matches"] = static_cast<double>(matches);
-}
-BENCHMARK(BM_PatternRelationalJoin)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_SubtreeDelete(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

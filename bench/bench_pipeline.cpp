@@ -98,7 +98,7 @@ void BM_FiveAtomicServices(benchmark::State& state) {
 }
 BENCHMARK(BM_FiveAtomicServices)->Arg(2)->Arg(8)->Arg(32);
 
-void BM_DiscoveryEngine(benchmark::State& state) {
+void BM_SpaceVsGraphDiscovery(benchmark::State& state) {
   // Ablation: path discovery on the graph projection (our optimisation)
   // versus interpreting the VPM model space directly (the paper's VTCL
   // design point).  Both return identical path lists (tested); the model
@@ -125,6 +125,6 @@ void BM_DiscoveryEngine(benchmark::State& state) {
   state.SetLabel(use_space ? "model-space" : "graph-projection");
   state.counters["paths"] = static_cast<double>(paths);
 }
-BENCHMARK(BM_DiscoveryEngine)->Arg(0)->Arg(1);
+BENCHMARK(BM_SpaceVsGraphDiscovery)->Arg(0)->Arg(1);
 
 }  // namespace

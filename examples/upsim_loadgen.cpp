@@ -374,8 +374,7 @@ int main(int argc, char** argv) {
           if (!act.ok()) throw Error("activate: " + act.error_message());
           swap_active.store(false);
           swap_window_ms = swap_watch.seconds() * 1e3;
-          swap_version = static_cast<std::uint64_t>(
-              act.result().at("version").number);
+          swap_version = net::integer_field(act.result(), "version");
         } catch (const std::exception& e) {
           swap_active.store(false);
           swap_error = e.what();
@@ -451,10 +450,8 @@ int main(int argc, char** argv) {
         path_cache_hit_rate = result.at("cache").at("hit_rate").number;
         if (result.has("response_cache")) {
           const obs::JsonValue& rc = result.at("response_cache");
-          response_cache_hits =
-              static_cast<std::uint64_t>(rc.at("hits").number);
-          response_cache_misses =
-              static_cast<std::uint64_t>(rc.at("misses").number);
+          response_cache_hits = net::integer_field(rc, "hits");
+          response_cache_misses = net::integer_field(rc, "misses");
           response_cache_hit_rate = rc.at("hit_rate").number;
         }
         if (result.has("invalidation")) {

@@ -187,8 +187,7 @@ int main(int argc, char** argv) {
               << "\n";
     std::cout << raw << "\n";
     // Exit non-zero on protocol errors so shell pipelines can branch.
-    const auto doc = obs::json_parse(raw);
-    return static_cast<int>(doc.at("status").number) == 200 ? 0 : 2;
+    return net::parse_response(raw).ok() ? 0 : 2;
   } catch (const std::exception& e) {
     std::cerr << "upsim_query: " << e.what() << "\n";
     return 1;

@@ -240,8 +240,7 @@ int run_remote(const Args& args) {
     const net::Response response =
         client.call("scenario_load", std::move(w).str());
     const obs::JsonValue& result = expect_ok(response, "scenario_load");
-    std::cout << "loaded " << static_cast<std::uint64_t>(
-                     result.at("loaded").number)
+    std::cout << "loaded " << net::integer_field(result, "loaded")
               << " events\n";
   }
 
@@ -264,12 +263,10 @@ int run_remote(const Args& args) {
     const net::Response response =
         client.call("scenario_step", std::move(w).str());
     const obs::JsonValue& result = expect_ok(response, "scenario_step");
-    applied += static_cast<std::uint64_t>(result.at("applied").number);
-    affected += static_cast<std::uint64_t>(result.at("affected_keys").number);
-    path_evictions +=
-        static_cast<std::uint64_t>(result.at("path_evictions").number);
-    response_evictions +=
-        static_cast<std::uint64_t>(result.at("response_evictions").number);
+    applied += net::integer_field(result, "applied");
+    affected += net::integer_field(result, "affected_keys");
+    path_evictions += net::integer_field(result, "path_evictions");
+    response_evictions += net::integer_field(result, "response_evictions");
     if (result.at("position").number >= result.at("total").number ||
         result.at("applied").number == 0) {
       break;

@@ -32,10 +32,11 @@ AvailabilityReport analyze_availability(const UpsimResult& result,
   const auto problem_linear =
       depend::ReliabilityProblem::from_attributes(g, terminal_pairs, true);
 
+  // The exact values run after series-parallel reduction: the same values
+  // as the raw factoring, orders of magnitude faster on access networks
+  // (see depend/reduction.hpp).
   const auto evaluate = [&](const depend::ReliabilityProblem& p) {
-    return options.use_reduction
-               ? depend::exact_availability_reduced(p, options.exact)
-               : depend::exact_availability(p, options.exact);
+    return depend::exact_availability_reduced(p, options.exact);
   };
 
   AvailabilityReport report;

@@ -35,10 +35,6 @@ struct AnalysisOptions {
   std::uint64_t monte_carlo_seed = 42;
   util::ThreadPool* pool = nullptr;
   depend::ExactOptions exact;
-  /// Run the exact computations after series-parallel reduction (same
-  /// values, orders of magnitude faster on access networks; see
-  /// depend/reduction.hpp).  Disable to exercise the raw engine.
-  bool use_reduction = true;
 };
 
 struct AvailabilityReport {

@@ -4,7 +4,6 @@
 
 #include "obs/obs.hpp"
 #include "transform/mapping_importer.hpp"
-#include "transform/space_discovery.hpp"
 #include "transform/uml_importer.hpp"
 #include "transform/upsim_emitter.hpp"
 #include "util/error.hpp"
@@ -93,36 +92,8 @@ UpsimResult UpsimGenerator::generate(const service::CompositeService& composite,
       endpoint_ids.emplace_back(graph_.vertex_by_name(pair.requester),
                                 graph_.vertex_by_name(pair.provider));
     }
-    if (options_.engine == DiscoveryEngine::GraphProjection) {
-      raw_sets = pathdisc::discover_all(graph_, endpoint_ids,
-                                        options_.discovery, options_.pool);
-    } else {
-      // The paper's design point: walk the "link" relations of the model
-      // space itself, then translate the name sequences back to graph ids
-      // so the rest of the pipeline is engine-agnostic.
-      const std::string instances_ns =
-          "models." + infrastructure_->name() + ".instances";
-      raw_sets.resize(pairs.size());
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        const auto in_space = transform::discover_in_space(
-            space_, instances_ns, pairs[i].requester, pairs[i].provider);
-        raw_sets[i].source = endpoint_ids[i].first;
-        raw_sets[i].target = endpoint_ids[i].second;
-        raw_sets[i].nodes_expanded = in_space.nodes_expanded;
-        raw_sets[i].paths.reserve(in_space.paths.size());
-        for (const auto& names : in_space.paths) {
-          pathdisc::Path path;
-          path.reserve(names.size());
-          for (const std::string& name : names) {
-            path.push_back(graph_.vertex_by_name(name));
-          }
-          raw_sets[i].paths.push_back(std::move(path));
-        }
-        // The graph engine records these inside pathdisc::discover; keep
-        // the model-space engine's metrics shape identical.
-        if (obs::enabled()) pathdisc::detail::record_pair_metrics(raw_sets[i]);
-      }
-    }
+    raw_sets = pathdisc::discover_all(graph_, endpoint_ids,
+                                      options_.discovery, options_.pool);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (raw_sets[i].empty()) {
         throw ModelError("UpsimGenerator: no path between requester '" +

@@ -9,7 +9,8 @@
 //   Step 6:  generate() imports the service mapping with the custom
 //            mapping importer.
 //   Step 7:  generate() discovers all paths between every pair's requester
-//            and provider and stores them in the model space.
+//            and provider on the graph projection (src/pathdisc) and stores
+//            them in the model space.
 //   Step 8:  generate() merges the paths and emits the UPSIM as a fresh
 //            UML object diagram whose instances keep their classifiers —
 //            and therefore all dependability properties.
@@ -34,22 +35,11 @@
 
 namespace upsim::core {
 
-/// Which engine executes Step 7.
-enum class DiscoveryEngine {
-  /// All-paths DFS on the graph projection (default; ~5x faster).
-  GraphProjection,
-  /// DFS interpreted directly over the VPM model space — the paper's
-  /// VTCL design point.  Identical path lists (tested); no parallel pool
-  /// or discovery limits (the faithful algorithm has neither).
-  ModelSpace,
-};
-
 struct GeneratorOptions {
   pathdisc::Options discovery;
   transform::ProjectionOptions projection;
   /// Optional pool for parallel per-pair discovery (Step 7).
   util::ThreadPool* pool = nullptr;
-  DiscoveryEngine engine = DiscoveryEngine::GraphProjection;
 };
 
 /// Per-step wall-clock timings of one generate() call, milliseconds.

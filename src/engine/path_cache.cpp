@@ -19,10 +19,9 @@ std::size_t PathQueryKeyHash::operator()(const PathQueryKey& k) const noexcept {
   return h;
 }
 
-PathSetCache::PathSetCache(std::size_t shards) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
+PathSetCache::PathSetCache() {
+  shards_.reserve(kCacheShards);
+  for (std::size_t i = 0; i < kCacheShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }

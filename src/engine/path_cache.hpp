@@ -8,8 +8,8 @@
 // key once and hands out the result as shared_ptr<const PathSet>.
 //
 // Concurrency model:
-//   - The map is striped over `shards` independently locked hash maps, so
-//     concurrent lookups of different pairs never convoy on one mutex.
+//   - The map is striped over kCacheShards independently locked hash maps,
+//     so concurrent lookups of different pairs never convoy on one mutex.
 //   - get_or_compute releases the shard lock *during* discovery; two
 //     threads racing on the same cold key may both compute, and the first
 //     insert wins (both callers get the winning entry).  Wasted duplicate
@@ -68,11 +68,13 @@ struct CacheStats {
   }
 };
 
+/// Lock stripes of PathSetCache and ReverseDependencyIndex: 16 matches
+/// obs::Registry and comfortably exceeds the pool widths upsim runs with.
+inline constexpr std::size_t kCacheShards = 16;
+
 class PathSetCache {
  public:
-  /// `shards` is clamped to >= 1; 16 matches obs::Registry and comfortably
-  /// exceeds the pool widths upsim runs with.
-  explicit PathSetCache(std::size_t shards = 16);
+  PathSetCache();
 
   PathSetCache(const PathSetCache&) = delete;
   PathSetCache& operator=(const PathSetCache&) = delete;

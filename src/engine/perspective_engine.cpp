@@ -32,10 +32,7 @@ std::string pair_key(std::size_t i, const mapping::ServiceMappingPair& pair) {
 
 PerspectiveEngine::PerspectiveEngine(const uml::ObjectModel& infrastructure,
                                      EngineOptions options)
-    : infrastructure_(&infrastructure),
-      options_(options),
-      cache_(options.cache_shards),
-      rindex_(options.cache_shards) {
+    : infrastructure_(&infrastructure), options_(options) {
   if (options_.pool != nullptr) {
     pool_ = options_.pool;
   } else {

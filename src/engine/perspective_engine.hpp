@@ -111,7 +111,6 @@ struct EngineOptions {
   /// never submit nested pool tasks, so an external pool may be shared.
   util::ThreadPool* pool = nullptr;
   std::size_t threads = 0;
-  std::size_t cache_shards = 16;
   /// Mirror UpsimGenerator and insert each served run into the model space
   /// (mapping import + stored paths, replacing a previous run of the same
   /// name).  This is the only serialized section of a query; switch it off

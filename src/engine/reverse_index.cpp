@@ -4,10 +4,9 @@
 
 namespace upsim::engine {
 
-ReverseDependencyIndex::ReverseDependencyIndex(std::size_t shards) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
+ReverseDependencyIndex::ReverseDependencyIndex() {
+  shards_.reserve(kCacheShards);
+  for (std::size_t i = 0; i < kCacheShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }

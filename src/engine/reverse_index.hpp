@@ -41,7 +41,7 @@ namespace upsim::engine {
 
 class ReverseDependencyIndex {
  public:
-  explicit ReverseDependencyIndex(std::size_t shards = 16);
+  ReverseDependencyIndex();
 
   ReverseDependencyIndex(const ReverseDependencyIndex&) = delete;
   ReverseDependencyIndex& operator=(const ReverseDependencyIndex&) = delete;

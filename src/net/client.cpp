@@ -8,21 +8,31 @@
 
 namespace upsim::net {
 
-namespace {
-
-/// Extracts the protocol status/id from a parsed response document.
-Response to_response(obs::JsonValue doc) {
+Response parse_response(std::string_view raw) {
   Response r;
-  if (!doc.is_object() || !doc.has("status")) {
+  r.document = obs::json_parse(raw);
+  if (!r.document.is_object() || !r.document.has("status")) {
     throw ParseError("net: response document has no 'status'");
   }
-  r.status = static_cast<int>(doc.at("status").number);
-  if (doc.has("id")) r.id = static_cast<std::uint64_t>(doc.at("id").number);
-  r.document = std::move(doc);
+  const auto status = obs::json_integer(r.document.at("status"), 100, 599);
+  if (!status) {
+    throw ParseError("net: response 'status' must be an integer from 100 "
+                     "to 599");
+  }
+  r.status = static_cast<int>(*status);
+  if (r.document.has("id")) r.id = integer_field(r.document, "id");
   return r;
 }
 
-}  // namespace
+std::uint64_t integer_field(const obs::JsonValue& object,
+                            std::string_view key) {
+  const auto n = obs::json_integer(object.at(key));
+  if (!n) {
+    throw ParseError("net: response '" + std::string(key) +
+                     "' must be an integer from 0 to 2^53");
+  }
+  return *n;
+}
 
 std::string Response::error_code() const {
   if (ok() || !document.has("error")) return {};
@@ -115,7 +125,7 @@ std::string Client::call_raw(std::string_view method,
 }
 
 Response Client::call(std::string_view method, std::string_view params_json) {
-  return to_response(obs::json_parse(call_raw(method, params_json)));
+  return parse_response(call_raw(method, params_json));
 }
 
 std::string Client::roundtrip_raw(std::string_view payload) {

@@ -65,6 +65,17 @@ struct Response {
   [[nodiscard]] std::string error_message() const;
 };
 
+/// Parses one response frame.  Throws ParseError when it is not JSON, has
+/// no "status" integer from 100 to 599, or has an "id" that is not an
+/// integer from 0 to 2^53.
+[[nodiscard]] Response parse_response(std::string_view raw);
+
+/// Reads `object`'s member `key` as an integer from 0 to 2^53 (a counter, a
+/// version); throws ParseError naming `key` for anything else, and
+/// NotFoundError when the member is absent.
+[[nodiscard]] std::uint64_t integer_field(const obs::JsonValue& object,
+                                          std::string_view key);
+
 class Client {
  public:
   explicit Client(ClientOptions options);

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -399,6 +400,19 @@ class JsonParser {
 
 JsonValue json_parse(std::string_view input, const JsonLimits& limits) {
   return JsonParser(input, limits).parse_document();
+}
+
+std::optional<std::uint64_t> json_integer(const JsonValue& value,
+                                          std::uint64_t min,
+                                          std::uint64_t max) {
+  max = std::min(max, kJsonMaxInteger);
+  if (value.kind != JsonValue::Kind::Number ||
+      !(value.number >= static_cast<double>(min)) ||
+      value.number > static_cast<double>(max) ||
+      value.number != std::floor(value.number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(value.number);
 }
 
 }  // namespace upsim::obs

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,5 +98,19 @@ struct JsonLimits {
 /// when a limit is exceeded.
 [[nodiscard]] JsonValue json_parse(std::string_view input,
                                    const JsonLimits& limits = {});
+
+/// 2^53: the largest range in which a JSON number (a double) still names
+/// every integer exactly.
+inline constexpr std::uint64_t kJsonMaxInteger = std::uint64_t{1} << 53;
+
+/// The one checked conversion of a JSON integer, for the server's params
+/// and the clients' response fields alike: casting a double outside the
+/// target type's range is undefined behaviour.  Returns the value when
+/// `value` is a number that is integral, at least `min` and at most `max`
+/// (a `max` above kJsonMaxInteger counts as kJsonMaxInteger); std::nullopt
+/// for anything else — a string, 1.5, -1, 1e300.
+[[nodiscard]] std::optional<std::uint64_t> json_integer(
+    const JsonValue& value, std::uint64_t min = 0,
+    std::uint64_t max = kJsonMaxInteger);
 
 }  // namespace upsim::obs

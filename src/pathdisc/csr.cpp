@@ -47,6 +47,25 @@ class VisitMask {
   std::vector<std::uint64_t> words_;
 };
 
+/// Aggregates one finished pair into the obs registry (counters +
+/// per-pair histograms).  Counters are recorded per discover() call (one
+/// call per requester/provider pair), so they sum naturally across a
+/// pipeline run; the truncation counter is touched even when zero so
+/// exported metrics always show it — a bounded search that silently drops
+/// paths must never look exhaustive.
+void record_pair_metrics(const PathSet& out) {
+  auto& registry = obs::Registry::global();
+  registry.counter("pathdisc.pairs").add(1);
+  registry.counter("pathdisc.vertices_visited").add(out.nodes_expanded);
+  registry.counter("pathdisc.paths_found").add(out.paths.size());
+  auto& truncations = registry.counter("pathdisc.truncations");
+  if (out.truncated) truncations.add(1);
+  registry.histogram("pathdisc.paths_per_pair")
+      .record(static_cast<double>(out.paths.size()));
+  registry.histogram("pathdisc.vertices_per_pair")
+      .record(static_cast<double>(out.nodes_expanded));
+}
+
 /// One level of the DFS: a vertex on the current path and the index of its
 /// next arc to try.  The stack of frames, bottom to top, is the path.
 struct Frame {
@@ -133,7 +152,7 @@ PathSet CsrView::discover(VertexId source, VertexId target,
     out.nodes_expanded = found.nodes_expanded;
     out.truncated = found.would_truncate;
   }
-  if (obs::enabled()) detail::record_pair_metrics(out);
+  if (obs::enabled()) record_pair_metrics(out);
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.hpp"
 #include "pathdisc/csr.hpp"
 #include "util/error.hpp"
 
@@ -39,28 +38,6 @@ std::size_t PathSet::longest() const noexcept {
   for (const Path& p : paths) best = std::max(best, p.size());
   return best;
 }
-
-namespace detail {
-
-/// Counters are recorded per discover() call (one call per
-/// requester/provider pair), so they sum naturally across a pipeline run;
-/// the truncation counter is touched even when zero so exported metrics
-/// always show it — a bounded search that silently drops paths must never
-/// look exhaustive.
-void record_pair_metrics(const PathSet& out) {
-  auto& registry = obs::Registry::global();
-  registry.counter("pathdisc.pairs").add(1);
-  registry.counter("pathdisc.vertices_visited").add(out.nodes_expanded);
-  registry.counter("pathdisc.paths_found").add(out.paths.size());
-  auto& truncations = registry.counter("pathdisc.truncations");
-  if (out.truncated) truncations.add(1);
-  registry.histogram("pathdisc.paths_per_pair")
-      .record(static_cast<double>(out.paths.size()));
-  registry.histogram("pathdisc.vertices_per_pair")
-      .record(static_cast<double>(out.nodes_expanded));
-}
-
-}  // namespace detail
 
 PathSet discover(const Graph& g, VertexId source, VertexId target,
                  const Options& options) {

@@ -126,14 +126,4 @@ struct PathSet {
 [[nodiscard]] std::vector<std::string> path_names(const graph::Graph& g,
                                                   const Path& path);
 
-namespace detail {
-
-/// Aggregates one finished pair into the obs registry (counters +
-/// per-pair histograms).  One call per discovered pair, whichever engine
-/// discovered it, so metrics stay comparable between the graph kernel and
-/// the model-space walk of core::UpsimGenerator.
-void record_pair_metrics(const PathSet& out);
-
-}  // namespace detail
-
 }  // namespace upsim::pathdisc

@@ -1,6 +1,6 @@
 #include "server/protocol.hpp"
 
-#include <cmath>
+#include <optional>
 
 #include "obs/trace.hpp"
 
@@ -57,15 +57,13 @@ void write_pairs(obs::JsonWriter& w, const core::UpsimResult& result) {
 
 std::uint64_t integer_param(const obs::JsonValue& value, std::string_view what,
                             std::uint64_t min) {
-  constexpr double kMax = 9007199254740992.0;  // 2^53
-  if (value.kind != obs::JsonValue::Kind::Number ||
-      !(value.number >= static_cast<double>(min)) || value.number > kMax ||
-      value.number != std::floor(value.number)) {
+  const std::optional<std::uint64_t> n = obs::json_integer(value, min);
+  if (!n) {
     throw ProtocolError(kStatusBadRequest, "bad_request",
                         std::string(what) + " must be an integer from " +
                             std::to_string(min) + " to 2^53");
   }
-  return static_cast<std::uint64_t>(value.number);
+  return *n;
 }
 
 Request parse_request(const obs::JsonValue& document) {

@@ -149,10 +149,10 @@ struct Request {
 [[nodiscard]] Request parse_request(const obs::JsonValue& document);
 
 /// The one conversion of an integer wire value (`id`, `count`, `seed`,
-/// `version`, `monte_carlo_samples`): `value` must be a number that is
-/// integral, at least `min` and at most 2^53, the largest range in which
-/// a JSON number still names every integer exactly.  Anything else — a
-/// string, 1.5, -1, 1e300 — throws ProtocolError(400) naming `what`.
+/// `version`, `monte_carlo_samples`): obs::json_integer from `min` to 2^53,
+/// the largest range in which a JSON number still names every integer
+/// exactly.  Anything else — a string, 1.5, -1, 1e300 — throws
+/// ProtocolError(400) naming `what`.
 [[nodiscard]] std::uint64_t integer_param(const obs::JsonValue& value,
                                           std::string_view what,
                                           std::uint64_t min = 0);

@@ -394,7 +394,7 @@ std::string Server::dispatch(const Request& req, AccessRecord& access) {
 namespace {
 
 /// Shared params of upsim/paths/availability: composite name, mapping and
-/// the optional perspective name.
+/// the optional perspective name ("net_view" when the request sends none).
 struct QueryParams {
   const service::CompositeService* composite;
   mapping::ServiceMapping mapping;
@@ -402,8 +402,7 @@ struct QueryParams {
 };
 
 QueryParams parse_query_params(const Request& req,
-                               const service::ServiceCatalog& services,
-                               const std::string& default_name) {
+                               const service::ServiceCatalog& services) {
   const obs::JsonValue& params = req.params;
   if (!params.has("composite") ||
       params.at("composite").kind != obs::JsonValue::Kind::String) {
@@ -411,7 +410,7 @@ QueryParams parse_query_params(const Request& req,
                         "params 'composite' (string) is required");
   }
   QueryParams q{&services.get_composite(params.at("composite").string),
-                mapping_from_params(params), default_name};
+                mapping_from_params(params), "net_view"};
   if (params.has("name")) {
     if (params.at("name").kind != obs::JsonValue::Kind::String) {
       throw ProtocolError(kStatusBadRequest, "bad_request",
@@ -426,8 +425,7 @@ QueryParams parse_query_params(const Request& req,
 
 std::string Server::handle_query(const ModelContext& ctx, const Request& req,
                                  bool paths_only, AccessRecord& access) {
-  QueryParams q =
-      parse_query_params(req, ctx.services(), options_.default_perspective);
+  QueryParams q = parse_query_params(req, ctx.services());
   if (options_.response_cache_entries == 0) {
     const core::UpsimResult result =
         ctx.engine().query(*q.composite, q.mapping, std::move(q.name));
@@ -493,8 +491,7 @@ std::string Server::handle_query(const ModelContext& ctx, const Request& req,
 
 std::string Server::handle_availability(const ModelContext& ctx,
                                         const Request& req) {
-  QueryParams q =
-      parse_query_params(req, ctx.services(), options_.default_perspective);
+  QueryParams q = parse_query_params(req, ctx.services());
   core::AnalysisOptions analysis;
   // Deterministic by default: the Monte-Carlo cross-check only runs when
   // asked, with a fixed (overridable) seed.

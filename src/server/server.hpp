@@ -118,8 +118,6 @@ struct ServerOptions {
   /// its internally owned registry with; ignored when an external registry
   /// is passed (set the quota on that registry instead).
   registry::TenantQuota default_quota;
-  /// Perspective name used when a request does not send "name".
-  std::string default_perspective = "net_view";
   /// Entries in the served-result cache for upsim/paths (0 disables).
   /// Results are deterministic for a (method, composite, mapping, name)
   /// tuple at a fixed engine epoch, so repeated perspectives are served

@@ -4,11 +4,11 @@
 // the *model space* ("the algorithm sees the infrastructure as a graph",
 // Sec. VI-G) rather than an extracted adjacency structure.  This module
 // reproduces that design point: a DFS over instance entities following the
-// directed "link" relations the UML importer created.  The projection-based
-// engine in src/pathdisc is the optimised alternative; both must produce
-// identical path lists (tests assert it) and bench_pipeline quantifies the
-// cost of interpreting the model space directly — the ablation behind our
-// choice to project.
+// directed "link" relations the UML importer created.  No pipeline runs it:
+// Step 7 of core::UpsimGenerator and the engine discover on the graph
+// projection (src/pathdisc).  It is kept as the ablation behind that
+// choice — bench_pipeline times both walks — and its path lists are held
+// to the independent enumerator in tests/.  It has no discovery limits.
 #pragma once
 
 #include <string>

@@ -98,7 +98,7 @@ EntityId import_object_model(ModelSpace& space,
     const EntityId b =
         space.get(instance_entity_fqn(objects, link->end_b().name()));
     // Two directed relations make the undirected link traversable from
-    // either endpoint in patterns and in the path-discovery step.
+    // either endpoint in the path-discovery step.
     space.create_relation("link", a, b);
     space.create_relation("link", b, a);
   }

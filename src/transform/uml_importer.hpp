@@ -9,7 +9,7 @@
 //   models.<objectModel>.instances.<instName>        instanceOf ..uml.Instance
 //                                                    and of its class entity
 //   relations: instance --link--> instance (one per direction per Link,
-//              so undirected adjacency is patternable in either direction)
+//              so undirected adjacency is walkable in either direction)
 //   models.services.<activity>.<nodeName>            actions instanceOf
 //                                                    ..uml.Action
 //   relations: node --flow--> node

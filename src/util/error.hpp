@@ -30,7 +30,7 @@ class NotFoundError : public Error {
   explicit NotFoundError(const std::string& what) : Error(what) {}
 };
 
-/// Syntactic error while parsing an external representation (XML, VTCL).
+/// Syntactic error while parsing an external representation (XML, JSON).
 class ParseError : public Error {
  public:
   ParseError(const std::string& what, std::size_t line, std::size_t column)

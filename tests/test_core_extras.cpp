@@ -1,12 +1,9 @@
-// rbd_builder (the [20] transformation as public API), DOT exports, and the
-// model diff used by the dynamicity workflows.
+// rbd_builder: the [20] transformation as public API.
 #include <gtest/gtest.h>
 
 #include "casestudy/usi.hpp"
-#include "core/diff.hpp"
 #include "core/rbd_builder.hpp"
 #include "core/upsim_generator.hpp"
-#include "depend/export.hpp"
 #include "depend/reliability.hpp"
 #include "util/error.hpp"
 
@@ -50,103 +47,6 @@ TEST_F(CoreExtrasTest, RbdOverestimatesExactPairAvailability) {
 
 TEST_F(CoreExtrasTest, PairIndexValidated) {
   EXPECT_THROW((void)build_pair_models(result, 99), NotFoundError);
-}
-
-TEST_F(CoreExtrasTest, RbdDotExport) {
-  const auto models = build_pair_models(result, 0);
-  const std::string dot = depend::to_dot(models.rbd, "pair0");
-  EXPECT_NE(dot.find("digraph pair0 {"), std::string::npos);
-  EXPECT_NE(dot.find("parallel"), std::string::npos);
-  EXPECT_NE(dot.find("series"), std::string::npos);
-  EXPECT_NE(dot.find("t1\\nA="), std::string::npos);
-  EXPECT_THROW((void)depend::to_dot(depend::BlockPtr{}, "x"), ModelError);
-}
-
-TEST_F(CoreExtrasTest, FaultTreeDotExport) {
-  const auto models = build_pair_models(result, 0);
-  const std::string dot = depend::to_dot(models.fault_tree, "ft0");
-  EXPECT_NE(dot.find("digraph ft0 {"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"AND\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"OR\""), std::string::npos);
-  EXPECT_NE(dot.find("shape=circle"), std::string::npos);
-  EXPECT_THROW((void)depend::to_dot(depend::FaultTreePtr{}, "x"), ModelError);
-}
-
-TEST_F(CoreExtrasTest, KofnDotLabels) {
-  const auto block = depend::k_of_n(
-      2, {depend::basic("a", 0.9), depend::basic("b", 0.9),
-          depend::basic("c", 0.9)});
-  EXPECT_NE(depend::to_dot(block).find("2-of-3"), std::string::npos);
-  const auto gate = depend::k_of_n_gate(
-      2, {depend::failure_event("a", 0.1), depend::failure_event("b", 0.1),
-          depend::failure_event("c", 0.1)});
-  EXPECT_NE(depend::to_dot(gate).find("2-of-3"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// diff
-
-TEST_F(CoreExtrasTest, DiffOfIdenticalModelsIsEmpty) {
-  const auto again = generator.generate(
-      cs.services->get_composite(casestudy::printing_service_name()),
-      cs.mapping_t1_p2(), "extras2");
-  const auto diff = diff_models(result.upsim, again.upsim);
-  EXPECT_TRUE(diff.empty());
-  EXPECT_EQ(diff.summary(), "(no changes)");
-}
-
-TEST_F(CoreExtrasTest, DiffOfTwoPerspectives) {
-  const auto other = generator.generate(
-      cs.services->get_composite(casestudy::printing_service_name()),
-      cs.mapping_t15_p3(), "extras3");
-  const auto diff = diff_models(result.upsim, other.upsim);
-  EXPECT_FALSE(diff.empty());
-  // t1's side leaves, t15's side arrives.
-  EXPECT_NE(std::find(diff.removed_instances.begin(),
-                      diff.removed_instances.end(), "t1"),
-            diff.removed_instances.end());
-  EXPECT_NE(std::find(diff.added_instances.begin(),
-                      diff.added_instances.end(), "t15"),
-            diff.added_instances.end());
-  // The shared core stays: c1 must appear in neither list.
-  EXPECT_EQ(std::find(diff.removed_instances.begin(),
-                      diff.removed_instances.end(), "c1"),
-            diff.removed_instances.end());
-  EXPECT_NE(diff.summary().find("+t15"), std::string::npos);
-  EXPECT_NE(diff.summary().find("-t1"), std::string::npos);
-}
-
-TEST(ModelDiff, ParallelLinksCountedAsMultiset) {
-  uml::ClassModel classes("m");
-  const uml::Class& node = classes.define_class("Node");
-  classes.define_association("l", node, node);
-  uml::ObjectModel before("before", classes);
-  before.instantiate("a", "Node");
-  before.instantiate("b", "Node");
-  before.link("a", "b", "l", "l1");
-  uml::ObjectModel after("after", classes);
-  after.instantiate("a", "Node");
-  after.instantiate("b", "Node");
-  after.link("a", "b", "l", "l1");
-  after.link("a", "b", "l", "l2");  // a second parallel link
-  const auto diff = diff_models(before, after);
-  ASSERT_EQ(diff.added_links.size(), 1u);
-  EXPECT_EQ(diff.added_links[0], "a--b");
-  EXPECT_TRUE(diff.removed_links.empty());
-}
-
-TEST(ModelDiff, RetypedInstanceDetected) {
-  uml::ClassModel classes("m");
-  classes.define_class("Client");
-  classes.define_class("Server");
-  uml::ObjectModel before("before", classes);
-  before.instantiate("x", "Client");
-  uml::ObjectModel after("after", classes);
-  after.instantiate("x", "Server");
-  const auto diff = diff_models(before, after);
-  ASSERT_EQ(diff.retyped_instances.size(), 1u);
-  EXPECT_EQ(diff.retyped_instances[0], "x");
-  EXPECT_NE(diff.summary().find("~x"), std::string::npos);
 }
 
 }  // namespace

@@ -182,23 +182,5 @@ TEST_F(PipelineTest, AnalysisOnTrivialColocationPair) {
   EXPECT_EQ(report.monte_carlo.samples, 0u);
 }
 
-
-TEST_F(PipelineTest, ModelSpaceEngineMatchesGraphEngine) {
-  // The faithful in-model-space Step 7 must produce the same UPSIM, the
-  // same path lists (order included) and the same analysis inputs.
-  GeneratorOptions space_options;
-  space_options.engine = DiscoveryEngine::ModelSpace;
-  UpsimGenerator graph_engine(*cs.infrastructure);
-  UpsimGenerator space_engine(*cs.infrastructure, space_options);
-  const auto a = graph_engine.generate(printing(), cs.mapping_t1_p2(), "run");
-  const auto b = space_engine.generate(printing(), cs.mapping_t1_p2(), "run");
-  EXPECT_EQ(a.named_paths, b.named_paths);
-  EXPECT_EQ(a.upsim.instance_count(), b.upsim.instance_count());
-  EXPECT_EQ(a.upsim.link_count(), b.upsim.link_count());
-  for (const auto* inst : a.upsim.instances()) {
-    EXPECT_NE(b.upsim.find_instance(inst->name()), nullptr) << inst->name();
-  }
-}
-
 }  // namespace
 }  // namespace upsim::core

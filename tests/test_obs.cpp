@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "casestudy/usi.hpp"
-#include "core/upsim_generator.hpp"
 #include "graph/graph.hpp"
 #include "obs/obs.hpp"
 #include "pathdisc/path_discovery.hpp"
@@ -405,30 +403,6 @@ TEST_F(ObsTest, PathDiscoveryCountsTruncations) {
   EXPECT_TRUE(set.truncated);
   const auto delta = Registry::global().snapshot().diff(before);
   EXPECT_EQ(delta.counter("pathdisc.truncations"), 1u);
-}
-
-TEST_F(ObsTest, ModelSpaceDiscoveryRecordsTheSameCounters) {
-  // The generator's model-space Step 7 reports each pair through the same
-  // pathdisc::detail::record_pair_metrics as the graph kernel.
-  const auto cs = casestudy::make_usi_case_study();
-  core::GeneratorOptions space_options;
-  space_options.engine = core::DiscoveryEngine::ModelSpace;
-  core::UpsimGenerator generator(*cs.infrastructure, space_options);
-  const auto before = Registry::global().snapshot();
-  const auto result = generator.generate(
-      cs.services->get_composite(casestudy::printing_service_name()),
-      cs.mapping_t1_p2(), "run");
-  const auto delta = Registry::global().snapshot().diff(before);
-  std::uint64_t visited = 0;
-  for (const auto& set : result.path_sets) visited += set.nodes_expanded;
-  EXPECT_EQ(delta.counter("pathdisc.pairs"), result.pairs.size());
-  EXPECT_EQ(delta.counter("pathdisc.paths_found"), result.total_paths());
-  EXPECT_EQ(delta.counter("pathdisc.vertices_visited"), visited);
-  EXPECT_EQ(delta.counter("pathdisc.truncations"), 0u);
-  EXPECT_EQ(delta.histogram("pathdisc.paths_per_pair").count,
-            result.pairs.size());
-  EXPECT_EQ(delta.histogram("pathdisc.vertices_per_pair").count,
-            result.pairs.size());
 }
 
 // ---------------------------------------------------------------------------

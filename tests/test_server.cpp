@@ -658,6 +658,39 @@ TEST(ServerTest, OutOfRangeIntegerParamsGet400) {
   EXPECT_EQ(static_cast<int>(seeded.at("status").number), 200);
 }
 
+TEST(ServerTest, ClientRejectsOutOfRangeResponseIntegers) {
+  // The client reads a response's status and id through the same checked
+  // conversion as the server's integer params: a fake server's 1e300, -1
+  // or 200.5 is a ParseError, never a cast of an out-of-range double.
+  const std::vector<std::string> replies = {
+      R"({"status":1e300})", R"({"status":-1})", R"({"status":200.5})",
+      R"({"id":1e300,"status":200})"};
+  net::Listener listener("127.0.0.1", 0);
+  std::thread fake([&] {
+    try {
+      std::optional<net::Socket> conn = listener.accept(5000);
+      if (!conn) return;
+      conn->set_recv_timeout_ms(5000);
+      for (const std::string& reply : replies) {
+        if (!net::read_frame(*conn, 1u << 20)) return;
+        net::write_frame(*conn, reply);
+      }
+    } catch (const std::exception&) {
+      // A transport failure leaves a call unanswered; the expectations
+      // below report it.
+    }
+  });
+  net::ClientOptions options;
+  options.port = listener.port();
+  options.max_retries = 0;
+  options.request_timeout_ms = 5000;
+  net::Client client(options);
+  for (const std::string& reply : replies) {
+    EXPECT_THROW((void)client.call("health"), ParseError) << reply;
+  }
+  fake.join();
+}
+
 TEST(ServerTest, MetricsReportsResponseCacheEffectiveness) {
   Stack stack;
   net::Client client = stack.client();

@@ -9,8 +9,9 @@
 #include "transform/uml_importer.hpp"
 #include "transform/upsim_emitter.hpp"
 #include "pathdisc/path_discovery.hpp"
+#include "reference_paths.hpp"
 #include "util/error.hpp"
-#include "vpm/pattern.hpp"
+#include "util/rng.hpp"
 
 namespace upsim::transform {
 namespace {
@@ -61,17 +62,6 @@ TEST_F(TransformTest, ObjectModelImportCreatesInstancesAndLinks) {
   EXPECT_EQ(space.relations_to(t1, "link").size(), 1u);
 }
 
-TEST_F(TransformTest, PatternQueriesWorkOnImportedModel) {
-  import_class_model(space, *cs.classes);
-  import_object_model(space, *cs.infrastructure);
-  // All printers connected to an HP2650 edge switch.
-  vpm::Pattern p("printer_uplinks");
-  p.type_of("printer", "models.usi_classes.classes.Printer")
-      .type_of("sw", "models.usi_classes.classes.HP2650")
-      .related("printer", "link", "sw");
-  EXPECT_EQ(p.count(space), 3u);
-}
-
 TEST_F(TransformTest, ActivityImport) {
   import_class_model(space, *cs.classes);
   const auto& printing =
@@ -80,9 +70,7 @@ TEST_F(TransformTest, ActivityImport) {
   const auto root = space.find("models.services.printing_flow");
   ASSERT_TRUE(root.has_value());
   // 5 actions typed as Action entities.
-  vpm::Pattern actions("actions");
-  actions.type_of("a", "metamodel.uml.Action");
-  EXPECT_EQ(actions.count(space), 5u);
+  EXPECT_EQ(space.instances_of(space.get("metamodel.uml.Action")).size(), 5u);
   // The flow chain is connected: the initial node reaches one successor.
   std::size_t flow_relations = 0;
   for (const auto child : space.children(*root)) {
@@ -228,6 +216,57 @@ TEST_F(TransformTest, SpaceDiscoveryMatchesGraphDiscoveryOnCaseStudy) {
       EXPECT_EQ(in_space.paths[i],
                 pathdisc::path_names(g, on_graph.paths[i]))
           << rq << "->" << pr << " path " << i;
+    }
+  }
+}
+
+TEST_F(TransformTest, SpaceDiscoveryMatchesReferenceOnRandomModels) {
+  // The model-space walk against the independent breadth-first enumerator
+  // (tests/reference_paths.hpp) run on the projection of the same model:
+  // random models of at most 8 instances with parallel links, every
+  // ordered pair, name sequences in discovery order.
+  util::Rng rng(20131108);
+  for (int trial = 0; trial < 150; ++trial) {
+    uml::ClassModel classes("net");
+    const uml::Class& host = classes.define_class("Host");
+    classes.define_association("wire", host, host);
+    uml::ObjectModel objects("infra", classes);
+    const std::size_t n = rng.uniform_int(2, 8);
+    for (std::size_t i = 0; i < n; ++i) {
+      objects.instantiate("h" + std::to_string(i), "Host");
+    }
+    const std::size_t links = rng.uniform_int(1, 2 * n);
+    for (std::size_t l = 0; l < links; ++l) {
+      const auto a = rng.uniform_int(0, n - 1);
+      auto b = rng.uniform_int(0, n - 1);
+      if (a == b) b = (b + 1) % n;
+      objects.link("h" + std::to_string(a), "h" + std::to_string(b), "wire",
+                   "l" + std::to_string(l));
+    }
+    vpm::ModelSpace model_space;
+    import_class_model(model_space, classes);
+    import_object_model(model_space, objects);
+    ProjectionOptions lax;
+    lax.require_dependability_attributes = false;
+    const graph::Graph g = project(objects, lax);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t t = 0; t < n; ++t) {
+        const std::string from = "h" + std::to_string(s);
+        const std::string to = "h" + std::to_string(t);
+        const auto in_space = discover_in_space(
+            model_space, "models.infra.instances", from, to);
+        const auto expected = pathdisc::reference::all_paths(
+            g, g.vertex_by_name(from), g.vertex_by_name(to));
+        std::vector<std::vector<std::string>> names;
+        for (const auto& path : expected.paths) {
+          names.push_back(pathdisc::path_names(g, path));
+        }
+        const std::string context = "trial " + std::to_string(trial) + " " +
+                                    from + "->" + to;
+        EXPECT_EQ(in_space.paths, names) << context;
+        EXPECT_EQ(in_space.nodes_expanded, expected.nodes_expanded)
+            << context;
+      }
     }
   }
 }

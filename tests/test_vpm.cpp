@@ -2,7 +2,6 @@
 
 #include "util/error.hpp"
 #include "vpm/model_space.hpp"
-#include "vpm/pattern.hpp"
 
 namespace upsim::vpm {
 namespace {
@@ -109,113 +108,6 @@ TEST(ModelSpace, DumpRendersTree) {
   const std::string dump = space.dump();
   EXPECT_NE(dump.find("<root>"), std::string::npos);
   EXPECT_NE(dump.find("a = \"7\" : mm.T"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Pattern matching
-
-/// Small fixture: two device instances linked, one lonely printer.
-struct SpaceFixture {
-  ModelSpace space;
-  EntityId device_type;
-  EntityId printer_type;
-  EntityId s1, s2, p1;
-
-  SpaceFixture() {
-    device_type = space.ensure_path("mm.Device");
-    printer_type = space.ensure_path("mm.Printer");
-    s1 = space.ensure_path("models.net.s1");
-    s2 = space.ensure_path("models.net.s2");
-    p1 = space.ensure_path("models.net.p1");
-    space.set_instance_of(s1, device_type);
-    space.set_instance_of(s2, device_type);
-    space.set_instance_of(p1, printer_type);
-    space.create_relation("link", s1, s2);
-    space.create_relation("link", s2, s1);
-    space.create_relation("link", s2, p1);
-    space.create_relation("link", p1, s2);
-  }
-};
-
-TEST(Pattern, TypeGenerator) {
-  SpaceFixture f;
-  Pattern p("devices");
-  p.type_of("d", "mm.Device");
-  const auto matches = p.match(f.space);
-  EXPECT_EQ(matches.size(), 2u);
-}
-
-TEST(Pattern, RelationConstraint) {
-  SpaceFixture f;
-  Pattern p("linked_device_pairs");
-  p.type_of("a", "mm.Device").type_of("b", "mm.Device").related("a", "link",
-                                                                "b");
-  const auto matches = p.match(f.space);
-  // s1->s2 and s2->s1.
-  EXPECT_EQ(matches.size(), 2u);
-  for (const auto& m : matches) {
-    EXPECT_NE(m.at("a"), m.at("b"));
-  }
-}
-
-TEST(Pattern, JoinAcrossTypes) {
-  SpaceFixture f;
-  Pattern p("device_to_printer");
-  p.type_of("d", "mm.Device")
-      .type_of("pr", "mm.Printer")
-      .related("d", "link", "pr");
-  const auto matches = p.match(f.space);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].at("d"), f.s2);
-  EXPECT_EQ(matches[0].at("pr"), f.p1);
-}
-
-TEST(Pattern, BelowAndNamedConstraints) {
-  SpaceFixture f;
-  Pattern p("s1_below_models");
-  p.below("x", "models.net").named("x", "s1");
-  const auto matches = p.match(f.space);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].at("x"), f.s1);
-}
-
-TEST(Pattern, ValueConstraint) {
-  SpaceFixture f;
-  f.space.set_value(f.s1, "edge");
-  Pattern p("by_value");
-  p.below("x", "models.net").value_is("x", "edge");
-  const auto matches = p.match(f.space);
-  ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].at("x"), f.s1);
-}
-
-TEST(Pattern, NotEqualEnforcesInjectivity) {
-  SpaceFixture f;
-  Pattern p("distinct_devices");
-  p.type_of("a", "mm.Device").type_of("b", "mm.Device").not_equal("a", "b");
-  EXPECT_EQ(p.count(f.space), 2u);  // (s1,s2) and (s2,s1)
-  Pattern q("all_device_pairs");
-  q.type_of("a", "mm.Device").type_of("b", "mm.Device");
-  EXPECT_EQ(q.count(f.space), 4u);
-}
-
-TEST(Pattern, MatchOneStopsEarly) {
-  SpaceFixture f;
-  Pattern p("any_device");
-  p.type_of("d", "mm.Device");
-  const auto one = p.match_one(f.space);
-  ASSERT_TRUE(one.has_value());
-  Pattern none("no_such_type");
-  none.type_of("d", "mm.Missing");
-  EXPECT_FALSE(none.match_one(f.space).has_value());
-  EXPECT_EQ(none.count(f.space), 0u);
-}
-
-TEST(Pattern, UnsatisfiableIntersection) {
-  SpaceFixture f;
-  Pattern p("device_and_printer");
-  p.type_of("x", "mm.Device").type_of("x", "mm.Printer");
-  EXPECT_EQ(p.count(f.space), 0u);
 }
 
 }  // namespace
